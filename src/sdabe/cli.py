@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer, frame_signal, read_wav, write_wav
+from .audio import AudioBuffer, AudioError, frame_signal, read_wav, write_wav
 from .features import DegenerateFrame, extract_feature_pair
 from .filters import design_fixed_filters
 from .metrics import (MetricsError, evaluate_corpus, read_manifest,
@@ -130,7 +130,11 @@ def cmd_train(args) -> int:
         _progress(f"missing manifest: {args.manifest}")
         return EXIT_MISSING
     opts = _resolve(args, {"epochs": 50, "batch_size": 180, "learning_rate": 0.01})
-    pairs, skipped = collect_pairs(args.manifest, jobs=args.jobs, seed=args.seed)
+    try:
+        pairs, skipped = collect_pairs(args.manifest, jobs=args.jobs, seed=args.seed)
+    except AudioError as exc:
+        _progress(f"bad input: {exc}")
+        return EXIT_USAGE
     batch = int(opts["batch_size"])
     if len(pairs) < batch:
         _progress(f"only {len(pairs)} training pairs (need {batch}); {skipped} skipped")
@@ -191,6 +195,9 @@ def cmd_extend(args) -> int:
     except FileNotFoundError as exc:
         _progress(str(exc))
         return EXIT_MISSING
+    except AudioError as exc:
+        _progress(f"bad input: {exc}")
+        return EXIT_USAGE
     except (ModelError, ValueError) as exc:
         _progress(f"extension failed: {exc}")
         return EXIT_NUMERIC
@@ -219,7 +226,7 @@ def _run_eval(args, cfg: ExtensionConfig, lpf, hpf, oracle_cache=None):
             # the filters do not depend on the addition/gain settings, so a
             # comparison run shares them across configurations
             cache = oracle_cache if oracle_cache is not None else {}
-            key = hash(ref.samples.tobytes())
+            key = (ref.rate, ref.samples.tobytes())  # exact content, no hash collision
             if key not in cache:
                 cache[key] = OracleSource(ref, lpf, hpf, cfg)
             predictor = cache[key]
@@ -262,6 +269,9 @@ def cmd_evaluate(args) -> int:
     except FileNotFoundError as exc:
         _progress(f"missing resource: {exc}")
         return EXIT_MISSING
+    except AudioError as exc:
+        _progress(f"bad input: {exc}")
+        return EXIT_USAGE
     except (MetricsError, ModelError, np.linalg.LinAlgError) as exc:
         _progress(f"evaluation failed: {exc}")
         return EXIT_NUMERIC

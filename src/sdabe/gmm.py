@@ -63,6 +63,7 @@ class Gmm:
                 c = base
             self.covs[j] = self._regularize(np.atleast_2d(c))
         prev = -np.inf
+        best = None
         for _ in range(iters):
             logp = np.column_stack(
                 [
@@ -74,7 +75,13 @@ class Gmm:
             mx = logp.max(axis=1, keepdims=True)
             lse = mx[:, 0] + np.log(np.sum(np.exp(logp - mx), axis=1))
             ll = float(np.sum(lse))
+            if ll < prev:
+                # the trace-scaled ridge makes the M-step inexact; keep the
+                # best parameters rather than step downhill
+                self.weights, self.means, self.covs = best
+                break
             self.loglik_history.append(ll)
+            best = (self.weights, self.means, self.covs.copy())
             resp = np.exp(logp - lse[:, None])
             nk = resp.sum(axis=0) + 1e-12
             self.weights = nk / N

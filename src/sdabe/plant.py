@@ -2,10 +2,19 @@
 
 The multirate error chain (signal model F at 16 kHz, zero-phase half-band
 low-pass, downsampling, LPC inverse filter at 8 kHz, the synthesis filter
-feeding the reconstruction) is lifted by 2 into a single-rate system and made
-causal by a q/2-step delay on the reference branch.  The result is in
-estimation form: a two-channel reference z, a scalar measurement y, and the
-error e = z - u closed by the lifted controller u = K y.
+feeding the reconstruction) is made causal by delaying the exogenous input
+by q samples, which turns the zero-phase low-pass into the causal FIR
+sum_j taps[j] z^-j and the reference into F delayed by q.
+
+One fast-rate system realizes both: F's states plus a 2q-sample delay line of
+F's output y_f, read out as o1(t) = y_f(t-q) (the reference) and
+o2(t) = sum_j taps[j] y_f(t-j) (the low-passed signal).  Lifting it by 2 gives
+the reference z = [o1(2k), o1(2k+1)]; the measurement y is o2(2k) passed
+through the LPC inverse filter at the slow rate.  The plant order is
+F.n + 2q + NB_LPC_ORDER (51 for an 8th-order F with the 33-tap low-pass).
+The result is in estimation form: a two-channel reference z, a scalar
+measurement y, and the error e = z - u closed by the lifted controller
+u = K y.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import numpy as np
 
 from .filters import FirFilter
 from .lpc import LpcModel
-from .statespace import StateSpaceModel, delay, lift2, select_outputs, series, tf_to_ss
+from .statespace import StateSpaceModel, lift2, series, tf_to_ss
 from .sysid import SignalModel
 
 
@@ -59,46 +68,43 @@ class GeneralizedPlant:
         return self.n_z
 
 
-def plant_from_channels(g_z: StateSpaceModel, g_y: StateSpaceModel, q: int = 0) -> GeneralizedPlant:
-    """Stack a reference channel and a measurement channel sharing the input."""
-    if g_z.p != g_y.p:
-        raise PlantError("reference and measurement channels must share the input")
-    nz, ny = g_z.n, g_y.n
-    A = np.block(
-        [[g_z.A, np.zeros((nz, ny))], [np.zeros((ny, nz)), g_y.A]]
-    )
-    B = np.vstack([g_z.B, g_y.B])
-    C1 = np.hstack([g_z.C, np.zeros((g_z.m, ny))])
-    C2 = np.hstack([np.zeros((g_y.m, nz)), g_y.C])
-    return GeneralizedPlant(
-        A=A, B=B, C1=C1, D11=g_z.D, C2=C2, D21=g_y.D, half_delay_q=q
-    )
+def _reference_and_lowpass(f_ss: StateSpaceModel, taps: np.ndarray, q: int) -> StateSpaceModel:
+    """Fast-rate outputs [y_f(t-q), sum_j taps[j] y_f(t-j)] of F.
+
+    States: F's, then the delay line d_j(t) = y_f(t-j), j = 1..len(taps)-1.
+    """
+    nf, nd = f_ss.n, len(taps) - 1
+    # row j of (Y, Dy) reads y_f(t-j) off the state and the input
+    Y = np.zeros((nd + 1, nf + nd))
+    Y[0, :nf] = f_ss.C[0]
+    Y[1:, nf:] = np.eye(nd)
+    Dy = np.zeros(nd + 1)
+    Dy[0] = f_ss.D[0, 0]
+    A = np.vstack([np.hstack([f_ss.A, np.zeros((nf, nd))]), Y[:-1]])
+    B = np.vstack([f_ss.B, Dy[:-1, None]])
+    C = np.vstack([Y[q], taps @ Y])
+    D = np.array([[Dy[q]], [taps @ Dy]])
+    return StateSpaceModel(A, B, C, D)
 
 
 def build_generalized_plant(
     F: SignalModel, lpf: FirFilter, A_lpc: LpcModel
 ) -> GeneralizedPlant:
-    """Assemble the lifted, causalized plant from a frame's models.
-
-    Reference channel: q/2-step delay in series with the lifted signal model.
-    Measurement channel: lifted (causal-LPF cascade of F), first lifted
-    component (the downsampled narrowband signal), then the LPC inverse filter
-    at the slow rate.
-    """
-    if lpf.causal or lpf.half_delay_q % 2 != 0:
-        raise PlantError("plant needs the zero-phase LPF with even half delay q")
+    """Assemble the lifted, causalized plant from a frame's models."""
+    if lpf.causal:
+        raise PlantError("plant needs the zero-phase LPF")
     q = lpf.half_delay_q
     f_ss = tf_to_ss(F.num, F.den)
     if not f_ss.is_stable():
         raise PlantError("signal model F must be stable")
-    g_z = series(lift2(f_ss), delay(q // 2, channels=2))
-    f_a = tf_to_ss(np.convolve(lpf.taps, F.num), F.den)
-    nb_branch = select_outputs(lift2(f_a), [0])
-    a_fir = tf_to_ss(A_lpc.inverse_poly(), [1.0])
-    g_y = series(nb_branch, a_fir)
-    if not g_y.is_stable():
-        raise PlantError("measurement channel must be stable")
-    return plant_from_channels(g_z, g_y, q=q)
+    # lifted output rows: o1(2k), o2(2k), o1(2k+1), o2(2k+1)
+    g = lift2(_reference_and_lowpass(f_ss, lpf.taps, q))
+    nb_branch = StateSpaceModel(g.A, g.B, g.C[1:2], g.D[1:2])
+    g_y = series(nb_branch, tf_to_ss(A_lpc.inverse_poly(), [1.0]))
+    C1 = np.hstack([g.C[[0, 2]], np.zeros((2, g_y.n - g.n))])
+    return GeneralizedPlant(
+        A=g_y.A, B=g_y.B, C1=C1, D11=g.D[[0, 2]], C2=g_y.C, D21=g_y.D, half_delay_q=q
+    )
 
 
 def open_loop_error(plant: GeneralizedPlant) -> StateSpaceModel:

@@ -89,14 +89,26 @@ class StateSpaceModel:
         return y.reshape(length, self.m)
 
     def impulse_response_all(self, length: int) -> np.ndarray:
-        """Markov parameters D, CB, CAB, ...; shape (length, m, p)."""
-        h = np.empty((length, self.m, self.p))
+        """Markov parameters D, CB, CAB, ...; shape (length, m, p).
+
+        Computed in blocks of up to 64 samples as C A^(kb) [B, AB, ..., A^(k-1) B].
+        """
+        m, p = self.m, self.p
+        h = np.empty((length, m, p))
         h[0] = self.D
-        X = self.B.copy()
-        A, C = self.A, self.C
-        for t in range(1, length):
-            h[t] = C @ X
-            X = A @ X
+        count = length - 1
+        # block Krylov matrix by doubling; Ak ends as A^k
+        K, Ak, k = self.B, self.A, 1
+        while k < min(count, 64):
+            K = np.hstack([K, Ak @ K])
+            Ak = Ak @ Ak
+            k *= 2
+        rows = [self.C]
+        for _ in range(-(-count // k) - 1):
+            rows.append(rows[-1] @ Ak)
+        blocks = np.vstack(rows) @ K  # (blocks * m, k * p)
+        blocks = blocks.reshape(len(rows), m, k, p).transpose(0, 2, 1, 3)
+        h[1:] = blocks.reshape(-1, m, p)[:count]
         return h
 
     def freq_response(self, w: np.ndarray) -> np.ndarray:
@@ -145,25 +157,6 @@ def tf_to_ss(num, den) -> StateSpaceModel:
     return StateSpaceModel(A, B, C, D)
 
 
-def delay(k: int, channels: int = 1) -> StateSpaceModel:
-    """k-sample shift register applied to each of `channels` inputs."""
-    if k < 0:
-        raise StateSpaceError("delay length must be >= 0")
-    if k == 0:
-        return static_gain(np.eye(channels))
-    n = k * channels
-    A = np.zeros((n, n))
-    B = np.zeros((n, channels))
-    C = np.zeros((channels, n))
-    for c in range(channels):
-        s = c * k
-        if k > 1:
-            A[s + 1 : s + k, s : s + k - 1] = np.eye(k - 1)
-        B[s, c] = 1.0
-        C[c, s + k - 1] = 1.0
-    return StateSpaceModel(A, B, C, np.zeros((channels, channels)))
-
-
 def series(first: StateSpaceModel, second: StateSpaceModel) -> StateSpaceModel:
     """Cascade: input -> first -> second -> output."""
     if second.p != first.m:
@@ -207,11 +200,6 @@ def stack_outputs(g1: StateSpaceModel, g2: StateSpaceModel) -> StateSpaceModel:
     C = np.block([[g1.C, np.zeros((g1.m, n2))], [np.zeros((g2.m, n1)), g2.C]])
     D = np.vstack([g1.D, g2.D])
     return StateSpaceModel(A, B, C, D)
-
-
-def select_outputs(g: StateSpaceModel, rows) -> StateSpaceModel:
-    rows = list(rows)
-    return StateSpaceModel(g.A, g.B, g.C[rows, :], g.D[rows, :])
 
 
 def lift2(g: StateSpaceModel) -> StateSpaceModel:

@@ -96,6 +96,10 @@ def _stabilize_poles(den: np.ndarray) -> np.ndarray:
 def _prony_single(h: np.ndarray, p: int, nz: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Classical Prony on impulse-response data: LS linear prediction for the
     denominator past the numerator span, then Shanks least-squares numerator."""
+    # imported here: scipy.signal takes about a second to load, which the
+    # command-line start-up should not pay
+    from scipy.signal import lfilter
+
     N = len(h)
     # denominator: h[n] + sum_k a_k h[n-k] = 0 for n > nz
     rows = np.arange(nz + 1, N)
@@ -104,12 +108,7 @@ def _prony_single(h: np.ndarray, p: int, nz: int) -> tuple[np.ndarray, np.ndarra
     den = np.concatenate([[1.0], a_tail])
     den = _stabilize_poles(den)
     # numerator: LS fit of b against shifted responses of 1/den
-    g = np.zeros(N)
-    for n in range(N):
-        acc = 1.0 if n == 0 else 0.0
-        for k in range(1, min(n, p) + 1):
-            acc -= den[k] * g[n - k]
-        g[n] = acc
+    g = lfilter([1.0], den, np.eye(1, N)[0])
     basis = np.column_stack(
         [np.concatenate([np.zeros(j), g[: N - j]]) for j in range(nz + 1)]
     )

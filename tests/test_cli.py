@@ -1,11 +1,17 @@
 """Command-line interface: exit codes, config resolution, light workflows."""
 
+import builtins
+import wave
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from sdabe.audio import read_wav, write_wav, AudioBuffer
-from sdabe.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, build_parser, main
+from sdabe.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, _run_eval, build_parser, main
+from sdabe.filters import design_fixed_filters
 from sdabe.metrics import read_manifest
+from sdabe.pipeline import ExtensionConfig
 
 
 def test_no_command_prints_usage():
@@ -124,3 +130,38 @@ def test_parser_accepts_extension_flags():
     assert args.mode == "fold"
     assert args.addition == "time"
     assert args.gain_adjust == "false"
+
+
+def _write_pcm(path, channels, sampwidth, rate=8000, frames=800):
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(channels)
+        w.setsampwidth(sampwidth)
+        w.setframerate(rate)
+        w.writeframes(bytes(frames * channels * sampwidth))
+
+
+@pytest.mark.parametrize("channels, sampwidth", [(2, 2), (1, 3)], ids=["stereo", "24bit"])
+def test_unsupported_wav_format_is_usage_error(tmp_path, channels, sampwidth):
+    bad = tmp_path / "bad.wav"
+    _write_pcm(bad, channels, sampwidth)
+    assert main(["extend", str(bad), str(tmp_path / "out.wav"), "--mode", "fold"]) == EXIT_USAGE
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{bad}\t-\tbad\n")
+    rc = main(["evaluate", str(manifest), str(tmp_path / "res"), "--mode", "fold"])
+    assert rc == EXIT_USAGE
+    assert main(["train", str(manifest), str(tmp_path / "m.json")]) == EXIT_USAGE
+
+
+def test_oracle_cache_keyed_by_content(tmp_path, monkeypatch):
+    out_dir = tmp_path / "corpus"
+    main(["synth-corpus", str(out_dir), "--n-files", "2", "--duration", "0.025"])
+    # colliding hashes must not make two files share one set of filters
+    monkeypatch.setattr(builtins, "hash", lambda obj: 0)
+    lpf, hpf = design_fixed_filters()
+    cache = {}
+    args = SimpleNamespace(manifest=out_dir / "manifest.tsv", model=None)
+    records, _ = _run_eval(args, ExtensionConfig(mode="oracle"), lpf, hpf, cache)
+    assert len(records) == 2
+    assert len(cache) == 2
+    _run_eval(args, ExtensionConfig(mode="oracle", addition="time"), lpf, hpf, cache)
+    assert len(cache) == 2

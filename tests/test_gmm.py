@@ -72,3 +72,33 @@ def test_conditional_tracks_cluster_structure():
     dn = g.conditional_expectation(np.array([-3.0]), in_dim=1)
     assert abs(up[0] - 6.0) < 0.5
     assert abs(dn[0] - 6.0) < 0.5
+
+
+def _loglik(g, X):
+    from sdabe.gmm import _log_gauss
+
+    logp = np.column_stack(
+        [np.log(g.weights[j]) + _log_gauss(X, g.means[j], g.covs[j]) for j in range(g.k)]
+    )
+    mx = logp.max(axis=1, keepdims=True)
+    return float(np.sum(mx[:, 0] + np.log(np.sum(np.exp(logp - mx), axis=1))))
+
+
+def test_near_degenerate_clusters_keep_best_iterate():
+    # three clusters on 2-D planes in 6-D: the ridge sets the small
+    # eigenvalues, and an EM step that rescales it can lower the likelihood
+    rng = np.random.default_rng(40)
+    X = np.vstack(
+        [
+            rng.standard_normal((40, 2)) @ rng.standard_normal((2, 6))
+            + 3 * rng.standard_normal(6)
+            for _ in range(3)
+        ]
+    )
+    X += 1e-3 * rng.standard_normal(X.shape)
+    g = Gmm(components=3, seed=0).fit(X, iters=60)
+    hist = np.asarray(g.loglik_history)
+    assert len(hist) >= 5
+    assert np.all(np.diff(hist) >= 0.0)
+    # the fit stopped on a decrease and kept the parameters that scored last
+    assert np.isclose(_loglik(g, X), hist[-1], rtol=1e-12, atol=0)

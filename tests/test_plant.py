@@ -5,11 +5,15 @@ import pytest
 from scipy.signal import lfilter
 
 from conftest import random_stable_ss
-from sdabe.audio import Frame
+from sdabe.audio import Frame, frame_signal, read_wav
+from sdabe.corpus import generate_corpus
+from sdabe.features import split_bands
 from sdabe.filters import design_fixed_filters
-from sdabe.lpc import levinson_lpc
+from sdabe.hinf import hinf_synthesize
+from sdabe.lpc import NB_LPC_ORDER, levinson_lpc
+from sdabe.metrics import read_manifest
 from sdabe.plant import PlantError, build_generalized_plant, closed_loop, open_loop_error
-from sdabe.statespace import lift_signal
+from sdabe.statespace import lift_signal, tf_to_ss
 from sdabe.sysid import SignalModel, prony_fit
 
 
@@ -76,6 +80,15 @@ def test_plant_dimensions(rng):
     assert plant.half_delay_q == lpf.half_delay_q
 
 
+def test_plant_order_realizes_signal_model_once(rng):
+    lpf, _ = design_fixed_filters()
+    for _ in range(3):
+        F, A_lpc = _models(rng)
+        plant = build_generalized_plant(F, lpf, A_lpc)
+        f_n = tf_to_ss(F.num, F.den).n
+        assert plant.n == f_n + len(lpf.taps) - 1 + NB_LPC_ORDER
+
+
 def test_rejects_causal_lpf(rng):
     _, hpf = design_fixed_filters()
     F, A_lpc = _models(rng)
@@ -92,3 +105,29 @@ def test_rejects_unstable_signal_model(rng):
     )
     with pytest.raises(PlantError):
         build_generalized_plant(F_bad, lpf, A_lpc)
+
+
+# (file, frame, gamma, open-loop gamma) of frames of the acceptance corpus
+# (seed 11, 0.15 s files), synthesized through the earlier 75-state plant
+# (F realized twice, separate q/2 reference delay)
+RECORDED_GAMMA = [
+    (0, 0, 0.019917762387477205, 1.288748553014551),
+    (0, 5, 0.14861280752804507, 5.17682283287855),
+    (1, 0, 0.2552925374989824, 0.2743122333672172),
+    (3, 3, 0.3929256305570257, 1.3479161435374278),
+    (6, 4, 0.07976211790721871, 0.8998176086424304),
+    (9, 6, 1.0446398401226915, 2.640888790892542),
+]
+
+
+def test_gamma_no_worse_than_recorded(tmp_path):
+    rel_tol = 1e-3
+    lpf, hpf = design_fixed_filters()
+    manifest = generate_corpus(tmp_path, 10, seed=11, duration=0.15)
+    refs = [entry[0] for entry in read_manifest(manifest)]
+    for file_no, index, gamma_rec, gamma_open in RECORDED_GAMMA:
+        fr = frame_signal(read_wav(refs[file_no]))[index]
+        nb_frame, _ = split_bands(fr, lpf, hpf)
+        plant = build_generalized_plant(prony_fit(fr), lpf, levinson_lpc(nb_frame))
+        sol = hinf_synthesize(plant, rel_tol=rel_tol, verify=False)
+        assert sol.gamma <= gamma_rec + rel_tol * gamma_open

@@ -9,11 +9,9 @@ from sdabe.statespace import (
     StateSpaceError,
     StateSpaceModel,
     add,
-    delay,
     expand_z2,
     lift2,
     lift_signal,
-    select_outputs,
     series,
     stack_outputs,
     static_gain,
@@ -57,22 +55,38 @@ def test_add_and_subtract(rng):
     assert np.allclose(subtract(g1, g2).simulate(u), g1.simulate(u) - g2.simulate(u), atol=1e-10)
 
 
-def test_stack_and_select_outputs(rng):
+def test_stack_outputs(rng):
     g1 = random_stable_ss(rng, 2)
     g2 = random_stable_ss(rng, 2)
     u = rng.standard_normal((30, 1))
-    st = stack_outputs(g1, g2)
-    y = st.simulate(u)
+    y = stack_outputs(g1, g2).simulate(u)
     assert y.shape == (30, 2)
     assert np.allclose(y[:, 0:1], g1.simulate(u), atol=1e-12)
-    assert np.allclose(select_outputs(st, [1]).simulate(u), g2.simulate(u), atol=1e-12)
+    assert np.allclose(y[:, 1:2], g2.simulate(u), atol=1e-12)
 
 
-def test_delay_shifts_signal(rng):
-    u = rng.standard_normal((20, 1))
-    y = delay(3).simulate(u)
-    assert np.allclose(y[:3], 0.0)
-    assert np.allclose(y[3:], u[:-3], atol=1e-12)
+def _markov_by_recursion(g, length):
+    h = np.empty((length, g.m, g.p))
+    h[0] = g.D
+    X = g.B
+    for t in range(1, length):
+        h[t] = g.C @ X
+        X = g.A @ X
+    return h
+
+
+@pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 2048])
+def test_impulse_response_all_matches_recursion(rng, length):
+    g = random_stable_ss(rng, 7, inputs=2, outputs=3, radius=0.99)
+    h = g.impulse_response_all(length)
+    assert h.shape == (length, 3, 2)
+    assert np.allclose(h, _markov_by_recursion(g, length), rtol=0, atol=1e-12)
+
+
+def test_impulse_response_all_of_static_gain():
+    h = static_gain(np.array([[2.0, -1.0]])).impulse_response_all(70)
+    assert np.array_equal(h[0], [[2.0, -1.0]])
+    assert not np.any(h[1:])
 
 
 def test_static_gain():

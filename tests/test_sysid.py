@@ -5,7 +5,14 @@ import pytest
 from scipy.signal import lfilter
 
 from sdabe.audio import Frame
-from sdabe.sysid import SignalModel, classify_excitation, prony_fit, zero_crossing_rate
+from sdabe.sysid import (
+    SignalModel,
+    _prony_single,
+    _stabilize_poles,
+    classify_excitation,
+    prony_fit,
+    zero_crossing_rate,
+)
 
 
 def _frame(x, rate=16000):
@@ -75,3 +82,35 @@ def test_signal_model_impulse_response_matches_lfilter():
     m = SignalModel(num=num, den=den, excitation="voiced", fit_error=0.0)
     ref = lfilter(num, den, np.eye(1, 50)[0])
     assert np.allclose(m.impulse_response(50), ref, atol=1e-12)
+
+
+def _prony_by_recursion(h, p, nz):
+    """Classical Prony with the all-pole response run as an explicit loop."""
+    N = len(h)
+    rows = np.arange(nz + 1, N)
+    M = np.column_stack([h[rows - k] for k in range(1, p + 1)])
+    a_tail, *_ = np.linalg.lstsq(M, -h[rows], rcond=None)
+    den = _stabilize_poles(np.concatenate([[1.0], a_tail]))
+    g = np.zeros(N)
+    for n in range(N):
+        acc = 1.0 if n == 0 else 0.0
+        for k in range(1, min(n, p) + 1):
+            acc -= den[k] * g[n - k]
+        g[n] = acc
+    basis = np.column_stack(
+        [np.concatenate([np.zeros(j), g[: N - j]]) for j in range(nz + 1)]
+    )
+    b, *_ = np.linalg.lstsq(basis, h, rcond=None)
+    err = float(np.linalg.norm(h - basis @ b) / np.linalg.norm(h))
+    return b, den, err
+
+
+def test_prony_single_matches_recursion():
+    rng = np.random.default_rng(5)
+    for p, nz in [(2, 0), (8, 4), (16, 8)]:
+        h = rng.standard_normal(400)
+        b, den, err = _prony_single(h, p, nz)
+        b_ref, den_ref, err_ref = _prony_by_recursion(h, p, nz)
+        assert np.array_equal(den, den_ref)
+        assert np.max(np.abs(b - b_ref)) < 1e-12
+        assert abs(err - err_ref) < 1e-12
