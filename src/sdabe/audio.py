@@ -102,14 +102,6 @@ def upsample2(buf: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(out, 16000)
 
 
-def resample2(buf: AudioBuffer, direction: str) -> AudioBuffer:
-    if direction == "down":
-        return downsample2(buf)
-    if direction == "up":
-        return upsample2(buf)
-    raise AudioError(f"direction must be 'down' or 'up', got {direction!r}")
-
-
 def upsample2_seq(x: np.ndarray) -> np.ndarray:
     out = np.zeros(2 * len(x))
     out[::2] = np.asarray(x, dtype=float)

@@ -21,7 +21,7 @@ from .filters import design_fixed_filters
 from .metrics import (MetricsError, evaluate_corpus, read_manifest,
                       write_frame_csv, write_report)
 from .mlp import MlpConfig
-from .pipeline import ExtensionConfig, OracleSource, extend_file, narrowband_of
+from .pipeline import ExtensionConfig, OracleSource, PipelineError, extend_file, narrowband_of
 from .regressor import ModelError, load_model, save_model, train_gmm, train_mlp
 
 EXIT_OK = 0
@@ -99,7 +99,7 @@ def cmd_synth_corpus(args) -> int:
     return EXIT_OK
 
 
-def collect_pairs(manifest_path, jobs: int = 1, seed: int = 0):
+def collect_pairs(manifest_path, jobs: int = 1):
     """Frame-level feature extraction over all manifest reference files."""
     lpf, hpf = design_fixed_filters()
     entries = read_manifest(manifest_path)
@@ -131,7 +131,7 @@ def cmd_train(args) -> int:
         return EXIT_MISSING
     opts = _resolve(args, {"epochs": 50, "batch_size": 180, "learning_rate": 0.01})
     try:
-        pairs, skipped = collect_pairs(args.manifest, jobs=args.jobs, seed=args.seed)
+        pairs, skipped = collect_pairs(args.manifest, jobs=args.jobs)
     except AudioError as exc:
         _progress(f"bad input: {exc}")
         return EXIT_USAGE
@@ -195,7 +195,7 @@ def cmd_extend(args) -> int:
     except FileNotFoundError as exc:
         _progress(str(exc))
         return EXIT_MISSING
-    except AudioError as exc:
+    except (AudioError, PipelineError) as exc:
         _progress(f"bad input: {exc}")
         return EXIT_USAGE
     except (ModelError, ValueError) as exc:

@@ -13,6 +13,7 @@ from .hbfilter import SynthesisFilter, assemble_synthesis_filter, extract_highba
 from .hinf import hinf_synthesize
 from .lpc import NB_LPC_ORDER, levinson_lpc
 from .plant import build_generalized_plant
+from .statespace import series, tf_to_ss
 from .sysid import prony_fit
 
 NB_DIM = 11
@@ -130,13 +131,14 @@ def extract_feature_pair(
     a_lpc = levinson_lpc(nb_frame, NB_LPC_ORDER)
     if a_lpc.degenerate:
         raise DegenerateFrame("degenerate LPC fit")
-    plant = build_generalized_plant(model, lpf, a_lpc)
+    plant = build_generalized_plant(model, lpf)
     sol = hinf_synthesize(plant, rel_tol=rel_tol, verify=verify)
-    k = assemble_synthesis_filter(sol.controller) if sol.controller.n or np.any(
-        sol.controller.D
-    ) else None
-    if k is None:
+    if not (sol.controller.n or np.any(sol.controller.D)):
         raise DegenerateFrame("zero synthesis filter")
+    # the controller reads the narrowband signal; the filter reads its LPC
+    # residue, so it first undoes the (minimum-phase) inverse filter
+    lpc_synthesis = tf_to_ss([1.0], a_lpc.inverse_poly())
+    k = assemble_synthesis_filter(series(lpc_synthesis, sol.controller))
     synth = extract_highband_filter(k, hpf, HB_DIM)
     g1 = gain_g1(hb_sig, nb_frame.samples)
     pair = FeaturePair(nb=a_lpc.coeffs, hb=synth.fir21, g1=g1)

@@ -58,6 +58,10 @@ def _windowed_sinc_lowpass(length: int, cutoff: float, window=np.hamming) -> np.
     m = (length - 1) // 2
     n = np.arange(length) - m
     h = np.where(n == 0, cutoff / np.pi, np.sin(cutoff * n) / (np.pi * np.where(n == 0, 1, n)))
+    if cutoff == np.pi / 2:
+        # half-band: sin(k pi) is exactly zero, not the ~1e-17 it rounds to,
+        # which the lifted plant relies on to drop the even delay lags
+        h[(n % 2 == 0) & (n != 0)] = 0.0
     h *= window(length)
     return h / np.sum(h)
 

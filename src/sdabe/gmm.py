@@ -45,23 +45,17 @@ class Gmm:
 
     def fit(self, X: np.ndarray, iters: int = 50, tol: float = 1e-7):
         X = np.asarray(X, dtype=float)
-        N, d = X.shape
-        if N < self.k:
+        if X.shape[0] < self.k:
             raise ValueError("fewer samples than components")
         rng = np.random.default_rng(self.seed)
-        centers, labels = _kmeans(X, self.k, rng)
-        self.means = centers
-        self.weights = np.full(self.k, 1.0 / self.k)
-        self.covs = np.empty((self.k, d, d))
-        base = np.cov(X.T) if N > 1 else np.eye(d)
-        base = np.atleast_2d(base) + COV_REG * np.eye(d)
-        for j in range(self.k):
-            mask = labels == j
-            if np.sum(mask) > d:
-                c = np.cov(X[mask].T)
-            else:
-                c = base
-            self.covs[j] = self._regularize(np.atleast_2d(c))
+        _, labels = _kmeans(X, self.k, rng)
+        # one ridge for every covariance estimate, scaled to the data: a
+        # ridge that followed each estimate's trace would move the likelihood
+        # of rank-deficient clusters by more than an EM step gains
+        ridge = COV_REG * max(float(np.mean(X.var(axis=0))), 1e-12)
+        # start from the M-step of the k-means hard assignment
+        resp = (labels[:, None] == np.arange(self.k)).astype(float)
+        self._m_step(X, resp, ridge)
         prev = -np.inf
         best = None
         for _ in range(iters):
@@ -76,30 +70,28 @@ class Gmm:
             lse = mx[:, 0] + np.log(np.sum(np.exp(logp - mx), axis=1))
             ll = float(np.sum(lse))
             if ll < prev:
-                # the trace-scaled ridge makes the M-step inexact; keep the
-                # best parameters rather than step downhill
+                # the ridge makes the M-step inexact; keep the best
+                # parameters rather than step downhill
                 self.weights, self.means, self.covs = best
                 break
             self.loglik_history.append(ll)
             best = (self.weights, self.means, self.covs.copy())
-            resp = np.exp(logp - lse[:, None])
-            nk = resp.sum(axis=0) + 1e-12
-            self.weights = nk / N
-            self.means = (resp.T @ X) / nk[:, None]
-            for j in range(self.k):
-                diff = X - self.means[j]
-                c = (resp[:, j, None] * diff).T @ diff / nk[j]
-                self.covs[j] = self._regularize(c)
+            self._m_step(X, np.exp(logp - lse[:, None]), ridge)
             if ll - prev < tol * abs(ll):
                 break
             prev = ll
         return self
 
-    @staticmethod
-    def _regularize(c: np.ndarray) -> np.ndarray:
-        d = c.shape[0]
-        reg = COV_REG * max(np.trace(c) / d, 1.0e-12)
-        return 0.5 * (c + c.T) + reg * np.eye(d)
+    def _m_step(self, X: np.ndarray, resp: np.ndarray, ridge: float) -> None:
+        N, d = X.shape
+        nk = resp.sum(axis=0) + 1e-12
+        self.weights = nk / N
+        self.means = (resp.T @ X) / nk[:, None]
+        self.covs = np.empty((self.k, d, d))
+        for j in range(self.k):
+            diff = X - self.means[j]
+            c = (resp[:, j, None] * diff).T @ diff / nk[j]
+            self.covs[j] = 0.5 * (c + c.T) + ridge * np.eye(d)
 
     def conditional_expectation(self, x_in: np.ndarray, in_dim: int) -> np.ndarray:
         """E[out-block | in-block = x_in] under the joint mixture."""

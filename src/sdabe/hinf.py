@@ -47,7 +47,11 @@ def solve_dare(A, B, Q, R, S):
             [np.zeros((m, n)), -B.T, np.zeros((m, m))],
         ]
     )
-    AA, BB, alpha, beta, _, Z = sla.ordqz(M, N, sort="iuc")
+    try:
+        AA, BB, alpha, beta, _, Z = sla.ordqz(M, N, sort="iuc")
+    except ValueError as exc:
+        # LAPACK refuses to reorder an ill-conditioned pencil
+        raise np.linalg.LinAlgError(str(exc)) from exc
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.abs(alpha) / np.abs(beta)
     n_stable = int(np.sum(lam[np.isfinite(lam)] < 1.0))
@@ -233,10 +237,3 @@ def hinf_synthesize(
     if best_gamma > gamma_hi:
         best_ctrl, best_gamma = zero_ctrl, gamma_hi
     return HinfSolution(controller=best_ctrl, gamma=float(best_gamma), iterations=iters)
-
-
-def hinf_norm_equal_under_lifting(g: StateSpaceModel, tol: float = 1e-8):
-    """Test utility: (||g||_inf, ||lift2(g)||_inf); equal for any stable g."""
-    from .statespace import lift2
-
-    return hinf_norm(g, tol=tol), hinf_norm(lift2(g), tol=tol)

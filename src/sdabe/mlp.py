@@ -126,10 +126,6 @@ class Mlp:
 
     # ---- training -----------------------------------------------------------
 
-    def _params(self):
-        ps = list(zip(self.W, range(len(self.W)), ["W"] * len(self.W)))
-        return ps
-
     def fit(self, X: np.ndarray, Y: np.ndarray, epochs: int | None = None):
         cfg = self.cfg
         epochs = cfg.epochs if epochs is None else epochs

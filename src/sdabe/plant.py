@@ -1,17 +1,30 @@
 """Construction of the causal single-rate feedback plant for filter synthesis.
 
 The multirate error chain (signal model F at 16 kHz, zero-phase half-band
-low-pass, downsampling, LPC inverse filter at 8 kHz, the synthesis filter
-feeding the reconstruction) is made causal by delaying the exogenous input
-by q samples, which turns the zero-phase low-pass into the causal FIR
-sum_j taps[j] z^-j and the reference into F delayed by q.
+low-pass, downsampling, the synthesis filter feeding the reconstruction) is
+made causal by delaying the exogenous input by q samples, which turns the
+zero-phase low-pass into the causal FIR sum_j taps[j] z^-j and the reference
+into F delayed by q.
 
-One fast-rate system realizes both: F's states plus a 2q-sample delay line of
-F's output y_f, read out as o1(t) = y_f(t-q) (the reference) and
+One fast-rate system realizes both: F's states plus a delay line of F's
+output y_f, read out as o1(t) = y_f(t-q) (the reference) and
 o2(t) = sum_j taps[j] y_f(t-j) (the low-passed signal).  Lifting it by 2 gives
-the reference z = [o1(2k), o1(2k+1)]; the measurement y is o2(2k) passed
-through the LPC inverse filter at the slow rate.  The plant order is
-F.n + 2q + NB_LPC_ORDER (51 for an 8th-order F with the 33-tap low-pass).
+the reference z = [o1(2k), o1(2k+1)] and the measurement y = o2(2k).  In the
+lifted system the lag-j delay state feeds only lag j+2, so each parity is a
+chain that stops at the largest lag a used output reads: q and q-1 for the
+reference, and the nonzero taps for the measurement.  The half-band taps are
+exactly zero at even offsets from the centre, so the even chain ends at q and
+the odd one at 2q-1: the plant order is F.n + 3q/2 (32 for an 8th-order F
+with the 33-tap low-pass).  Dropping the other lags removes only states no
+used output sees, so the transfer function is unchanged.
+
+The frame's LPC inverse filter A(z) is not part of the plant.  A(z) is
+minimum-phase with a_0 = 1, so a stable causal filter K_r on the residue
+A x_nb and the stable causal filter K_r A on the narrowband signal x_nb are
+in one-to-one correspondence with the same closed loop, hence the same
+optimal level.  The controller is designed on x_nb, and the caller composes
+it with 1/A(z) to apply it to the residue.
+
 The result is in estimation form: a two-channel reference z, a scalar
 measurement y, and the error e = z - u closed by the lifted controller
 u = K y.
@@ -24,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import FirFilter
-from .lpc import LpcModel
-from .statespace import StateSpaceModel, lift2, series, tf_to_ss
+from .statespace import StateSpaceModel, lift2, tf_to_ss
 from .sysid import SignalModel
 
 
@@ -87,10 +99,20 @@ def _reference_and_lowpass(f_ss: StateSpaceModel, taps: np.ndarray, q: int) -> S
     return StateSpaceModel(A, B, C, D)
 
 
-def build_generalized_plant(
-    F: SignalModel, lpf: FirFilter, A_lpc: LpcModel
-) -> GeneralizedPlant:
-    """Assemble the lifted, causalized plant from a frame's models."""
+def _kept_lags(taps: np.ndarray, q: int) -> np.ndarray:
+    """Delay lags j >= 1 that reach a used output of the lifted plant.
+
+    Lifting by 2 makes lag j feed only lag j + 2, so each parity is a chain
+    that can stop at the largest lag read: q and q - 1 by the reference
+    o1(2k), o1(2k+1), and the nonzero taps by the measurement o2(2k).
+    """
+    read = np.union1d([q - 1, q], np.flatnonzero(taps))
+    lags = np.arange(1, len(taps))
+    return lags[[np.any((read >= j) & (read % 2 == j % 2)) for j in lags]]
+
+
+def build_generalized_plant(F: SignalModel, lpf: FirFilter) -> GeneralizedPlant:
+    """Assemble the lifted, causalized plant from a frame's signal model."""
     if lpf.causal:
         raise PlantError("plant needs the zero-phase LPF")
     q = lpf.half_delay_q
@@ -99,11 +121,12 @@ def build_generalized_plant(
         raise PlantError("signal model F must be stable")
     # lifted output rows: o1(2k), o2(2k), o1(2k+1), o2(2k+1)
     g = lift2(_reference_and_lowpass(f_ss, lpf.taps, q))
-    nb_branch = StateSpaceModel(g.A, g.B, g.C[1:2], g.D[1:2])
-    g_y = series(nb_branch, tf_to_ss(A_lpc.inverse_poly(), [1.0]))
-    C1 = np.hstack([g.C[[0, 2]], np.zeros((2, g_y.n - g.n))])
+    # delay state d_j sits at index f_ss.n + j - 1
+    keep = np.concatenate([np.arange(f_ss.n), f_ss.n - 1 + _kept_lags(lpf.taps, q)])
+    C = g.C[:, keep]
     return GeneralizedPlant(
-        A=g_y.A, B=g_y.B, C1=C1, D11=g.D[[0, 2]], C2=g_y.C, D21=g_y.D, half_delay_q=q
+        A=g.A[np.ix_(keep, keep)], B=g.B[keep], C1=C[[0, 2]], D11=g.D[[0, 2]],
+        C2=C[1:2], D21=g.D[1:2], half_delay_q=q,
     )
 
 

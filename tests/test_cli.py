@@ -75,6 +75,15 @@ def test_extend_fold_mode_runs_without_model(tmp_path):
     assert len(res) == 1600
 
 
+def test_extend_wideband_input_is_usage_error(tmp_path):
+    wav = tmp_path / "wb16.wav"
+    rng = np.random.default_rng(0)
+    write_wav(wav, AudioBuffer(rng.standard_normal(1600) * 0.1, 16000))
+    out = tmp_path / "out.wav"
+    assert main(["extend", str(wav), str(out), "--mode", "fold"]) == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_extend_oracle_mode(tmp_path):
     out_dir = tmp_path / "corpus"
     main(["synth-corpus", str(out_dir), "--n-files", "1", "--duration", "0.1"])

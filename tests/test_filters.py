@@ -36,6 +36,20 @@ def test_lpf_halfband_crossover(filters):
     assert abs(20 * np.log10(mag) + 6.02) < 0.2
 
 
+def test_halfband_taps_exactly_zero_at_even_offsets(filters):
+    lpf, hpf = filters
+    q = lpf.half_delay_q
+    offsets = np.arange(len(lpf.taps)) - q
+    even = (offsets % 2 == 0) & (offsets != 0)
+    assert np.all(lpf.taps[even] == 0.0)
+    assert np.all(lpf.taps[~even] != 0.0)
+    # the high-pass is delta minus its low-pass prototype
+    m = (len(hpf.taps) - 1) // 2
+    offsets = np.arange(len(hpf.taps)) - m
+    even = (offsets % 2 == 0) & (offsets != 0)
+    assert np.all(hpf.taps[even] == 0.0)
+
+
 def test_hpf_exact_dc_null(filters):
     _, hpf = filters
     assert hpf.causal

@@ -102,3 +102,15 @@ def test_near_degenerate_clusters_keep_best_iterate():
     assert np.all(np.diff(hist) >= 0.0)
     # the fit stopped on a decrease and kept the parameters that scored last
     assert np.isclose(_loglik(g, X), hist[-1], rtol=1e-12, atol=0)
+
+
+def test_rank_deficient_data_runs_em_past_the_kmeans_start():
+    # rank-3 data in 10-D: every covariance is ridge-dominated in seven
+    # directions, so a ridge that moved between the start and the M-step
+    # would lower the likelihood at the first step and stop EM there
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((60, 3)) @ rng.standard_normal((3, 10))
+    g = Gmm(components=2, seed=0).fit(X)
+    hist = np.asarray(g.loglik_history)
+    assert len(hist) > 1
+    assert np.all(np.diff(hist) >= 0.0)

@@ -105,3 +105,16 @@ def test_rejects_bad_tolerance(rng):
     plant = _random_estimation_plant(rng, 3)
     with pytest.raises(ValueError):
         hinf_synthesize(plant, rel_tol=0.0)
+
+
+def test_failed_pencil_reordering_rejects_the_level(rng, monkeypatch):
+    # ordqz raises ValueError when it cannot reorder an ill-conditioned
+    # pencil; synthesis treats the level as infeasible instead of failing
+    def refuse(*args, **kwargs):
+        raise ValueError("Reordering of (A, B) failed")
+
+    plant = _random_estimation_plant(rng, 3)
+    monkeypatch.setattr("sdabe.hinf.sla.ordqz", refuse)
+    sol = hinf_synthesize(plant, rel_tol=1e-3)
+    assert sol.controller.n == 0 and not np.any(sol.controller.D)
+    assert sol.gamma == pytest.approx(hinf_norm(open_loop_error(plant)), rel=1e-6)

@@ -7,13 +7,12 @@ from scipy.signal import lfilter
 from conftest import random_stable_ss
 from sdabe.audio import Frame, frame_signal, read_wav
 from sdabe.corpus import generate_corpus
-from sdabe.features import split_bands
 from sdabe.filters import design_fixed_filters
 from sdabe.hinf import hinf_synthesize
-from sdabe.lpc import NB_LPC_ORDER, levinson_lpc
+from sdabe.lpc import levinson_lpc
 from sdabe.metrics import read_manifest
 from sdabe.plant import PlantError, build_generalized_plant, closed_loop, open_loop_error
-from sdabe.statespace import lift_signal, tf_to_ss
+from sdabe.statespace import lift_signal, series, tf_to_ss
 from sdabe.sysid import SignalModel, prony_fit
 
 
@@ -31,7 +30,8 @@ def _models(rng):
 def _brute_force_error(F, lpf, A_lpc, ktilde, w):
     """Run the physical multirate chain on a q-sample delayed input.
 
-    Returns the lifted error stream seen by the causalized plant.
+    Returns the lifted error stream seen by the causalized plant.  The
+    chain applies ktilde to the LPC residue of the decimated low-pass output.
     """
     q = lpf.half_delay_q
     wd = np.concatenate([np.zeros(q), w])
@@ -51,18 +51,21 @@ def test_closed_loop_matches_brute_force_simulation(rng):
     lpf, _ = design_fixed_filters()
     for _ in range(4):
         F, A_lpc = _models(rng)
-        plant = build_generalized_plant(F, lpf, A_lpc)
+        plant = build_generalized_plant(F, lpf)
         ktilde = random_stable_ss(rng, 3, inputs=1, outputs=2, radius=0.7)
         w = rng.standard_normal(200)
         e_ref = _brute_force_error(F, lpf, A_lpc, ktilde, w)
-        e_plant = closed_loop(plant, ktilde).simulate(lift_signal(w))
+        # the plant measures the narrowband signal: the LPC inverse filter
+        # moves to the controller side
+        ctrl = series(tf_to_ss(A_lpc.inverse_poly(), [1.0]), ktilde)
+        e_plant = closed_loop(plant, ctrl).simulate(lift_signal(w))
         assert np.max(np.abs(e_plant - e_ref)) < 1e-8
 
 
 def test_open_loop_matches_delayed_signal_model(rng):
     lpf, _ = design_fixed_filters()
-    F, A_lpc = _models(rng)
-    plant = build_generalized_plant(F, lpf, A_lpc)
+    F, _ = _models(rng)
+    plant = build_generalized_plant(F, lpf)
     q = lpf.half_delay_q
     w = rng.standard_normal(200)
     s = lfilter(F.num, F.den, np.concatenate([np.zeros(q), w]))
@@ -72,8 +75,8 @@ def test_open_loop_matches_delayed_signal_model(rng):
 
 def test_plant_dimensions(rng):
     lpf, _ = design_fixed_filters()
-    F, A_lpc = _models(rng)
-    plant = build_generalized_plant(F, lpf, A_lpc)
+    F, _ = _models(rng)
+    plant = build_generalized_plant(F, lpf)
     assert plant.n_w == 2
     assert plant.n_z == 2
     assert plant.n_y == 1
@@ -81,30 +84,31 @@ def test_plant_dimensions(rng):
 
 
 def test_plant_order_realizes_signal_model_once(rng):
+    # F once, then q/2 even and q odd slow-rate delay lags; no LPC states
     lpf, _ = design_fixed_filters()
+    q = lpf.half_delay_q
     for _ in range(3):
-        F, A_lpc = _models(rng)
-        plant = build_generalized_plant(F, lpf, A_lpc)
+        F, _ = _models(rng)
+        plant = build_generalized_plant(F, lpf)
         f_n = tf_to_ss(F.num, F.den).n
-        assert plant.n == f_n + len(lpf.taps) - 1 + NB_LPC_ORDER
+        assert plant.n == f_n + 3 * q // 2
 
 
 def test_rejects_causal_lpf(rng):
     _, hpf = design_fixed_filters()
-    F, A_lpc = _models(rng)
+    F, _ = _models(rng)
     with pytest.raises(PlantError):
-        build_generalized_plant(F, hpf, A_lpc)
+        build_generalized_plant(F, hpf)
 
 
 def test_rejects_unstable_signal_model(rng):
     lpf, _ = design_fixed_filters()
-    _, A_lpc = _models(rng)
     F_bad = SignalModel(
         num=np.array([1.0]), den=np.array([1.0, -1.5]),
         excitation="voiced", fit_error=0.0,
     )
     with pytest.raises(PlantError):
-        build_generalized_plant(F_bad, lpf, A_lpc)
+        build_generalized_plant(F_bad, lpf)
 
 
 # (file, frame, gamma, open-loop gamma) of frames of the acceptance corpus
@@ -122,12 +126,11 @@ RECORDED_GAMMA = [
 
 def test_gamma_no_worse_than_recorded(tmp_path):
     rel_tol = 1e-3
-    lpf, hpf = design_fixed_filters()
+    lpf, _ = design_fixed_filters()
     manifest = generate_corpus(tmp_path, 10, seed=11, duration=0.15)
     refs = [entry[0] for entry in read_manifest(manifest)]
     for file_no, index, gamma_rec, gamma_open in RECORDED_GAMMA:
         fr = frame_signal(read_wav(refs[file_no]))[index]
-        nb_frame, _ = split_bands(fr, lpf, hpf)
-        plant = build_generalized_plant(prony_fit(fr), lpf, levinson_lpc(nb_frame))
+        plant = build_generalized_plant(prony_fit(fr), lpf)
         sol = hinf_synthesize(plant, rel_tol=rel_tol, verify=False)
         assert sol.gamma <= gamma_rec + rel_tol * gamma_open
