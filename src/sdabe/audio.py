@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,15 +93,6 @@ def downsample2(buf: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(buf.samples[::2], 8000)
 
 
-def upsample2(buf: AudioBuffer) -> AudioBuffer:
-    """Insert a zero after each sample."""
-    if buf.rate != 8000:
-        raise AudioError("upsample requires an 8 kHz buffer")
-    out = np.zeros(2 * len(buf))
-    out[::2] = buf.samples
-    return AudioBuffer(out, 16000)
-
-
 def upsample2_seq(x: np.ndarray) -> np.ndarray:
     out = np.zeros(2 * len(x))
     out[::2] = np.asarray(x, dtype=float)
@@ -119,6 +110,14 @@ def read_wav(path) -> AudioBuffer:
         raw = w.readframes(w.getnframes())
     x = np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0
     return AudioBuffer(x, rate)
+
+
+def read_wav_at(path, rate: int) -> AudioBuffer:
+    """read_wav, with an AudioError naming the file unless it is at `rate` Hz."""
+    buf = read_wav(path)
+    if buf.rate != rate:
+        raise AudioError(f"{path}: expected {rate} Hz, got {buf.rate} Hz")
+    return buf
 
 
 def write_wav(path, buf: AudioBuffer) -> None:

@@ -1,8 +1,9 @@
 """Batch front end.
 
 Commands: synth-corpus, train, extend, evaluate.  Flags override config-file
-values, which override defaults.  Exit codes: 0 ok, 1 usage or empty input,
-2 missing resource, 3 numerical failure.
+values (a section's own value over [DEFAULT]), which override defaults.
+Exit codes: 0 ok, 1 usage or empty input (a file at the wrong sample rate
+included), 2 missing resource, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer, AudioError, frame_signal, read_wav, write_wav
+from .audio import AudioBuffer, AudioError, frame_signal, read_wav_at, write_wav
 from .features import DegenerateFrame, extract_feature_pair
 from .filters import design_fixed_filters
 from .metrics import (MetricsError, evaluate_corpus, read_manifest,
@@ -35,20 +36,21 @@ def _progress(msg: str) -> None:
 
 
 def _load_config(path) -> dict[str, str]:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    """Flatten an INI file: [DEFAULT] first, then each section in file order,
+    so a section's own value wins over [DEFAULT]."""
+    # read [DEFAULT] as a plain section, so a section's items are its own keys
+    # and not the defaults merged in
+    cp = configparser.ConfigParser(default_section="\0")
+    if not cp.read(path):
         raise FileNotFoundError(path)
     flat: dict[str, str] = {}
-    for section in cp.sections():
-        for key, val in cp.items(section):
-            flat[key] = val
-    flat.update(dict(cp.defaults()))
+    for section in sorted(cp.sections(), key=lambda s: s != configparser.DEFAULTSECT):
+        flat.update(cp.items(section))
     return flat
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults"""
+    """flags > config-file section > config-file [DEFAULT] > defaults"""
     out = dict(defaults)
     if args.config:
         out.update(_load_config(args.config))
@@ -90,10 +92,8 @@ def cmd_synth_corpus(args) -> int:
     from .corpus import generate_corpus
 
     opts = _resolve(args, {"n_files": 10, "duration": 0.2})
-    lpf, _hpf = design_fixed_filters()
     manifest = generate_corpus(
-        args.out_dir, int(opts["n_files"]), lpf,
-        seed=args.seed, duration=float(opts["duration"]),
+        args.out_dir, int(opts["n_files"]), seed=args.seed, duration=float(opts["duration"])
     )
     _progress(f"wrote {opts['n_files']} file pairs, manifest {manifest}")
     return EXIT_OK
@@ -107,11 +107,11 @@ def collect_pairs(manifest_path, jobs: int = 1):
     skipped = 0
 
     def _one_file(ref_path):
-        wb = read_wav(ref_path)
+        wb = read_wav_at(ref_path, 16000)
         out, skip = [], 0
         for fr in frame_signal(wb):
             try:
-                out.append(extract_feature_pair(fr, lpf, hpf))
+                out.append(extract_feature_pair(fr, lpf, hpf)[0])
             except DegenerateFrame:
                 skip += 1
         return out, skip
@@ -167,7 +167,7 @@ def _make_predictor(args, cfg: ExtensionConfig, ref: AudioBuffer | None, lpf, hp
     if cfg.mode == "oracle":
         if ref is None:
             raise FileNotFoundError("oracle mode needs the wideband pair")
-        return OracleSource(ref, lpf, hpf, cfg)
+        return OracleSource(ref, lpf, hpf)
     if cfg.mode == "fold" or cfg.nb_only:
         return None
     if not args.model:
@@ -188,8 +188,8 @@ def cmd_extend(args) -> int:
         _progress(f"missing model: {args.model}")
         return EXIT_MISSING
     try:
-        nb = read_wav(args.nb_wav)
-        ref = read_wav(args.oracle) if args.oracle else None
+        nb = read_wav_at(args.nb_wav, 8000)
+        ref = read_wav_at(args.oracle, 16000) if args.oracle else None
         predictor = _make_predictor(args, cfg, ref, lpf, hpf)
         out = extend_file(nb, predictor, cfg, lpf, hpf)
     except FileNotFoundError as exc:
@@ -228,7 +228,7 @@ def _run_eval(args, cfg: ExtensionConfig, lpf, hpf, oracle_cache=None):
             cache = oracle_cache if oracle_cache is not None else {}
             key = (ref.rate, ref.samples.tobytes())  # exact content, no hash collision
             if key not in cache:
-                cache[key] = OracleSource(ref, lpf, hpf, cfg)
+                cache[key] = OracleSource(ref, lpf, hpf)
             predictor = cache[key]
         else:
             predictor = model

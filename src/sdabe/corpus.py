@@ -13,7 +13,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .audio import AudioBuffer, downsample2, write_wav
-from .filters import FirFilter, design_fixed_filters
+from .filters import design_fixed_filters
 
 
 _FORMANT_BANDS = [(250.0, 800.0), (800.0, 2200.0), (2200.0, 3500.0), (4800.0, 7200.0)]
@@ -81,18 +81,12 @@ def synth_utterance(rng: np.random.Generator, duration: float = 0.2) -> AudioBuf
     return AudioBuffer(y, 16000)
 
 
-def generate_corpus(
-    out_dir,
-    n_files: int,
-    lpf: FirFilter | None = None,
-    seed: int = 0,
-    duration: float = 0.2,
-) -> Path:
+def generate_corpus(out_dir, n_files: int, seed: int = 0, duration: float = 0.2) -> Path:
     """Write wb_XXX.wav / nb_XXX.wav pairs and a manifest; returns its path.
 
     The narrowband derivation stands in for the telephone-network front end,
     which is much sharper than the short receiver-side interpolation filter,
-    so a long half-band is used here regardless of the pipeline `lpf`.
+    so a long (129-tap) half-band is used here, not the pipeline's low-pass.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

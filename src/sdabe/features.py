@@ -9,7 +9,7 @@ import numpy as np
 
 from .audio import AudioBuffer, Frame, downsample2
 from .filters import FirFilter
-from .hbfilter import SynthesisFilter, assemble_synthesis_filter, extract_highband_filter
+from .hbfilter import FIR_FEATURE_LEN, assemble_synthesis_filter, extract_highband_filter
 from .hinf import hinf_synthesize
 from .lpc import NB_LPC_ORDER, levinson_lpc
 from .plant import build_generalized_plant
@@ -17,7 +17,7 @@ from .statespace import series, tf_to_ss
 from .sysid import prony_fit
 
 NB_DIM = 11
-HB_DIM = 21
+HB_DIM = FIR_FEATURE_LEN
 MVN_STD_FLOOR = 1e-8
 
 
@@ -107,41 +107,29 @@ def split_bands(wb_frame: Frame, lpf: FirFilter, hpf: FirFilter):
     return nb_frame, hb
 
 
-def extract_feature_pair(
-    wb_frame: Frame,
-    lpf: FirFilter,
-    hpf: FirFilter,
-    max_poles: int = 16,
-    max_zeros: int = 8,
-    rel_tol: float = 1e-3,
-    verify: bool = False,
-    return_filter: bool = False,
-):
+def extract_feature_pair(wb_frame: Frame, lpf: FirFilter, hpf: FirFilter):
     """Synthesize the per-frame reconstruction filter and package the sample.
 
-    Raises DegenerateFrame for silent or numerically unusable frames; with
-    return_filter the per-frame SynthesisFilter is included (oracle mode).
+    Returns (FeaturePair, SynthesisFilter).  Raises DegenerateFrame for
+    silent or numerically unusable frames.
     """
     nb_frame, hb_sig = split_bands(wb_frame, lpf, hpf)
     if float(np.dot(nb_frame.samples, nb_frame.samples)) <= 1e-12:
         raise DegenerateFrame("silent narrowband frame")
-    model = prony_fit(wb_frame, max_poles=max_poles, max_zeros=max_zeros)
+    model = prony_fit(wb_frame)
     if model.degenerate:
         raise DegenerateFrame("degenerate signal model")
     a_lpc = levinson_lpc(nb_frame, NB_LPC_ORDER)
     if a_lpc.degenerate:
         raise DegenerateFrame("degenerate LPC fit")
     plant = build_generalized_plant(model, lpf)
-    sol = hinf_synthesize(plant, rel_tol=rel_tol, verify=verify)
+    sol = hinf_synthesize(plant, verify=False)
     if not (sol.controller.n or np.any(sol.controller.D)):
         raise DegenerateFrame("zero synthesis filter")
     # the controller reads the narrowband signal; the filter reads its LPC
     # residue, so it first undoes the (minimum-phase) inverse filter
     lpc_synthesis = tf_to_ss([1.0], a_lpc.inverse_poly())
     k = assemble_synthesis_filter(series(lpc_synthesis, sol.controller))
-    synth = extract_highband_filter(k, hpf, HB_DIM)
+    synth = extract_highband_filter(k, hpf)
     g1 = gain_g1(hb_sig, nb_frame.samples)
-    pair = FeaturePair(nb=a_lpc.coeffs, hb=synth.fir21, g1=g1)
-    if return_filter:
-        return pair, synth
-    return pair
+    return FeaturePair(nb=a_lpc.coeffs, hb=synth.fir21, g1=g1), synth

@@ -1,5 +1,7 @@
-"""De-lift the synthesized controller into the scalar reconstruction filter,
-cascade it with the high-pass, and truncate to the 21-tap FIR feature."""
+"""De-lift the synthesized controller into the scalar 16 kHz reconstruction
+filter k, follow it with the fixed high-pass taps (convolved onto k's impulse
+response or output), and truncate the combined impulse response to the 21-tap
+FIR feature."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import FirFilter
-from .statespace import StateSpaceModel, expand_z2, series, tf_to_ss
+from .statespace import StateSpaceModel, expand_z2
 
 FIR_FEATURE_LEN = 21
 TRUNCATION_SPAN = 512
@@ -20,13 +22,19 @@ class HbFilterError(ValueError):
 
 @dataclass(frozen=True)
 class SynthesisFilter:
-    k_full: StateSpaceModel
-    k_hpf: StateSpaceModel
+    """De-lifted filter k followed by the high-pass, and its truncation."""
+
+    k: StateSpaceModel
+    hpf: FirFilter
     fir21: np.ndarray
     truncation_ratio: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "fir21", np.asarray(self.fir21, dtype=float).reshape(-1))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The IIR form: run k on x, then the high-pass; same length as x."""
+        return self.hpf.apply(self.k.simulate(x))
 
 
 def assemble_synthesis_filter(ktilde: StateSpaceModel) -> StateSpaceModel:
@@ -52,23 +60,20 @@ def assemble_synthesis_filter(ktilde: StateSpaceModel) -> StateSpaceModel:
     return StateSpaceModel(A, B, C, D)
 
 
-def extract_highband_filter(
-    k: StateSpaceModel, hpf: FirFilter, fir_len: int = FIR_FEATURE_LEN
-) -> SynthesisFilter:
-    """Cascade with the causal HPF and truncate the impulse response.
+def extract_highband_filter(k: StateSpaceModel, hpf: FirFilter) -> SynthesisFilter:
+    """Follow k with the causal HPF and truncate the impulse response.
 
-    The FIR feature is the first fir_len impulse-response samples of the
-    cascade; the reported ratio is tail energy over total energy across
-    TRUNCATION_SPAN samples.
+    The FIR feature is the first FIR_FEATURE_LEN impulse-response samples of
+    k followed by the HPF; the reported ratio is tail energy over total
+    energy across TRUNCATION_SPAN samples.
     """
     if not k.is_stable():
         raise HbFilterError("synthesis filter must be stable")
-    hpf_ss = tf_to_ss(hpf.taps, [1.0])
-    k_hpf = series(k, hpf_ss)
-    h = k_hpf.impulse_response(max(TRUNCATION_SPAN, fir_len))[:, 0]
+    hk = k.impulse_response(TRUNCATION_SPAN)[:, 0]
+    h = np.convolve(hk, hpf.taps)[:TRUNCATION_SPAN]
     total = float(np.dot(h, h))
-    tail = float(np.dot(h[fir_len:], h[fir_len:]))
+    tail = float(np.dot(h[FIR_FEATURE_LEN:], h[FIR_FEATURE_LEN:]))
     ratio = tail / total if total > 0 else 0.0
     return SynthesisFilter(
-        k_full=k, k_hpf=k_hpf, fir21=h[:fir_len].copy(), truncation_ratio=ratio
+        k=k, hpf=hpf, fir21=h[:FIR_FEATURE_LEN].copy(), truncation_ratio=ratio
     )

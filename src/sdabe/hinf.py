@@ -17,21 +17,18 @@ import scipy.linalg as sla
 from .statespace import StateSpaceModel
 
 _UNIT_CIRCLE_TOL = 1e-7
+_NORM_GRID = 128  # frequency grid seeding the level-set iteration of hinf_norm
+_FFT_NORM_LEN = 2048  # impulse-response length of the fast closed-loop norm estimate
+_REG = 1e-6  # measurement-noise regularization making the filtering problem regular
 
 
 class HinfError(RuntimeError):
     pass
 
 
-def solve_dare(A, B, Q, R, S):
-    """Stabilizing solution of X = A'XA - (A'XB+S)(R+B'XB)^-1(B'XA+S') + Q.
-
-    Extended-pencil QZ route; R may be indefinite (needed for the game-type
-    Riccati equations of the bounded-real lemma).  Returns (X, n_stable)
-    where n_stable is the number of inside-unit-circle pencil eigenvalues.
-    """
-    A = np.atleast_2d(A)
-    B = np.atleast_2d(B)
+def _extended_pencil(A, B, Q, R, S) -> tuple[np.ndarray, np.ndarray]:
+    """Extended symplectic pencil (M, N) of size 2n + m of the discrete
+    Riccati equation with data (A, B, Q, R, S)."""
     n, m = B.shape
     M = np.block(
         [
@@ -47,6 +44,20 @@ def solve_dare(A, B, Q, R, S):
             [np.zeros((m, n)), -B.T, np.zeros((m, m))],
         ]
     )
+    return M, N
+
+
+def solve_dare(A, B, Q, R, S):
+    """Stabilizing solution of X = A'XA - (A'XB+S)(R+B'XB)^-1(B'XA+S') + Q.
+
+    Extended-pencil QZ route; R may be indefinite (needed for the game-type
+    Riccati equations of the bounded-real lemma).  Returns (X, n_stable)
+    where n_stable is the number of inside-unit-circle pencil eigenvalues.
+    """
+    A = np.atleast_2d(A)
+    B = np.atleast_2d(B)
+    n = B.shape[0]
+    M, N = _extended_pencil(A, B, Q, R, S)
     try:
         AA, BB, alpha, beta, _, Z = sla.ordqz(M, N, sort="iuc")
     except ValueError as exc:
@@ -65,25 +76,9 @@ def solve_dare(A, B, Q, R, S):
 
 def _unit_circle_frequencies(g: StateSpaceModel, gamma: float) -> np.ndarray:
     """Frequencies where some singular value of g equals gamma (bounded-real pencil)."""
-    A, B, C, D = g.A, g.B, g.C, g.D
-    n, p = B.shape
-    Q = C.T @ C
-    S = C.T @ D
-    R = D.T @ D - gamma**2 * np.eye(p)
-    M = np.block(
-        [
-            [A, np.zeros((n, n)), B],
-            [Q, -np.eye(n), S],
-            [S.T, np.zeros((p, n)), R],
-        ]
-    )
-    N = np.block(
-        [
-            [np.eye(n), np.zeros((n, n + p))],
-            [np.zeros((n, n)), -A.T, np.zeros((n, p))],
-            [np.zeros((p, n)), -B.T, np.zeros((p, p))],
-        ]
-    )
+    C, D = g.C, g.D
+    R = D.T @ D - gamma**2 * np.eye(g.p)
+    M, N = _extended_pencil(g.A, g.B, C.T @ C, R, C.T @ D)
     lam = sla.eigvals(M, N)
     lam = lam[np.isfinite(lam)]
     on_circle = lam[np.abs(np.abs(lam) - 1.0) < _UNIT_CIRCLE_TOL]
@@ -99,15 +94,15 @@ def _grid_peak(g: StateSpaceModel, w: np.ndarray) -> tuple[float, float]:
     return float(sv[i]), float(w[i])
 
 
-def _fft_peak(g: StateSpaceModel, nfft: int = 2048) -> float:
+def _fft_peak(g: StateSpaceModel) -> float:
     """Fast norm estimate from the DFT of the truncated impulse response."""
-    h = g.impulse_response_all(nfft)
+    h = g.impulse_response_all(_FFT_NORM_LEN)
     H = np.fft.rfft(h, axis=0)
     sv = np.linalg.norm(H, ord=2, axis=(1, 2))
     return float(np.max(sv))
 
 
-def hinf_norm(g: StateSpaceModel, tol: float = 1e-8, grid: int = 128) -> float:
+def hinf_norm(g: StateSpaceModel, tol: float = 1e-8) -> float:
     """Peak singular value of g over the unit circle (g must be stable).
 
     Level-set iteration: a grid seeds a lower bound, the symplectic pencil
@@ -120,7 +115,7 @@ def hinf_norm(g: StateSpaceModel, tol: float = 1e-8, grid: int = 128) -> float:
         raise HinfError("hinf_norm requires a stable system")
     if g.n == 0:
         return float(np.linalg.norm(g.D, ord=2))
-    w0 = np.linspace(0.0, np.pi, grid)
+    w0 = np.linspace(0.0, np.pi, _NORM_GRID)
     lb, _ = _grid_peak(g, w0)
     lb = max(lb, float(np.linalg.norm(g.D, ord=2)))
     if lb == 0.0:
@@ -148,23 +143,23 @@ class HinfSolution:
     iterations: int
 
 
-def _central_filter(plant, P: np.ndarray, reg: float) -> StateSpaceModel:
+def _central_filter(plant, P: np.ndarray) -> StateSpaceModel:
     A, B, C1, D11, C2, D21 = plant.A, plant.B, plant.C1, plant.D11, plant.C2, plant.D21
     ny = C2.shape[0]
-    Re = D21 @ D21.T + C2 @ P @ C2.T + reg * np.eye(ny)
+    Re = D21 @ D21.T + C2 @ P @ C2.T + _REG * np.eye(ny)
     Kp = np.linalg.solve(Re.T, (A @ P @ C2.T + B @ D21.T).T).T
     Dk = np.linalg.solve(Re.T, (C1 @ P @ C2.T + D11 @ D21.T).T).T
     return StateSpaceModel(A - Kp @ C2, Kp, C1 - Dk @ C2, Dk)
 
 
-def _feasible(plant, gamma: float, reg: float) -> StateSpaceModel | None:
+def _feasible(plant, gamma: float) -> StateSpaceModel | None:
     A, B, C1, D11, C2, D21 = plant.A, plant.B, plant.C1, plant.D11, plant.C2, plant.D21
     n = A.shape[0]
     ny, nz = C2.shape[0], C1.shape[0]
     Cbar = np.vstack([C2, C1])
     Dbar = np.vstack([D21, D11])
     Rbar = Dbar @ Dbar.T + sla.block_diag(
-        reg * np.eye(ny), -(gamma**2) * np.eye(nz)
+        _REG * np.eye(ny), -(gamma**2) * np.eye(nz)
     )
     try:
         P, n_stable = solve_dare(A.T, Cbar.T, B @ B.T, Rbar, B @ Dbar.T)
@@ -177,19 +172,13 @@ def _feasible(plant, gamma: float, reg: float) -> StateSpaceModel | None:
     ev = np.linalg.eigvalsh(Rbar + Cbar @ P @ Cbar.T)
     if np.sum(ev > 0) != ny or np.sum(ev < 0) != nz:
         return None
-    ctrl = _central_filter(plant, P, reg)
+    ctrl = _central_filter(plant, P)
     if not ctrl.is_stable():
         return None
     return ctrl
 
 
-def hinf_synthesize(
-    plant,
-    rel_tol: float = 1e-3,
-    reg: float = 1e-6,
-    verify: bool = True,
-    norm_grid: int = 2048,
-) -> HinfSolution:
+def hinf_synthesize(plant, rel_tol: float = 1e-3, verify: bool = True) -> HinfSolution:
     """Minimize the closed-loop H-infinity norm over stabilizing controllers.
 
     Bisection on the level gamma; each candidate level is checked through the
@@ -220,7 +209,7 @@ def hinf_synthesize(
     while hi - lo > rel_tol * max(gamma_hi, 1e-12) and iters < 60:
         iters += 1
         mid = 0.5 * (lo + hi)
-        ctrl = _feasible(plant, mid, reg)
+        ctrl = _feasible(plant, mid)
         if ctrl is None:
             lo = mid
             continue
@@ -228,7 +217,7 @@ def hinf_synthesize(
         if verify:
             achieved = hinf_norm(cl, tol=rel_tol * 0.1)
         else:
-            achieved = _fft_peak(cl, nfft=norm_grid)
+            achieved = _fft_peak(cl)
         if achieved <= mid * (1.0 + rel_tol):
             best_ctrl, best_gamma = ctrl, min(mid, max(achieved, 0.0))
             hi = mid

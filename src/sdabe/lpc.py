@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,4 @@ def levinson_lpc(frame: Frame, order: int = NB_LPC_ORDER) -> LpcModel:
 def inverse_filter(frame: Frame, lpc: LpcModel) -> np.ndarray:
     """Residue r[n] = x[n] - sum a_k x[n-k], zero initial state."""
     x = frame.samples
-    return np.convolve(x, lpc.inverse_poly())[: len(x)]
-
-
-def inverse_filter_seq(x: np.ndarray, lpc: LpcModel) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
     return np.convolve(x, lpc.inverse_poly())[: len(x)]

@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer, frame_length, frame_signal
+from .audio import AudioBuffer, frame_signal
 from .sysid import classify_excitation
 
 POWER_FLOOR = 1e-10
 SEGSNR_MIN = -10.0
 SEGSNR_MAX = 35.0
 SILENCE_DBFS = -60.0
+LSD_NFFT = 512
 
 
 class MetricsError(ValueError):
@@ -36,9 +37,9 @@ def _paired_frames(ref: AudioBuffer, est: AudioBuffer):
     return list(zip(rf, ef))
 
 
-def lsd_frame(x: np.ndarray, y: np.ndarray, nfft: int = 512) -> float:
-    px = np.abs(np.fft.rfft(x, nfft)) ** 2
-    py = np.abs(np.fft.rfft(y, nfft)) ** 2
+def lsd_frame(x: np.ndarray, y: np.ndarray) -> float:
+    px = np.abs(np.fft.rfft(x, LSD_NFFT)) ** 2
+    py = np.abs(np.fft.rfft(y, LSD_NFFT)) ** 2
     px = np.maximum(px, POWER_FLOOR)
     py = np.maximum(py, POWER_FLOOR)
     d = 10.0 * np.log10(px / py)
@@ -62,8 +63,8 @@ def _silent(x: np.ndarray) -> bool:
     return e <= 10.0 ** (SILENCE_DBFS / 10.0)
 
 
-def lsd(ref: AudioBuffer, est: AudioBuffer, nfft: int = 512) -> float:
-    vals = [lsd_frame(rf.samples, ef.samples, nfft) for rf, ef in _paired_frames(ref, est)]
+def lsd(ref: AudioBuffer, est: AudioBuffer) -> float:
+    vals = [lsd_frame(rf.samples, ef.samples) for rf, ef in _paired_frames(ref, est)]
     return float(np.mean(vals))
 
 
@@ -89,7 +90,7 @@ class MetricsRecord:
     segsnr_unvoiced: float = float("nan")
 
 
-def measure(ref: AudioBuffer, est: AudioBuffer, nfft: int = 512) -> MetricsRecord:
+def measure(ref: AudioBuffer, est: AudioBuffer) -> MetricsRecord:
     """Per-frame LSD/segSNR with a voicing split driven by the reference."""
     pairs = _paired_frames(ref, est)
     energy_ref = max(
@@ -99,7 +100,7 @@ def measure(ref: AudioBuffer, est: AudioBuffer, nfft: int = 512) -> MetricsRecor
     snr_vals = []
     by_voicing = {"voiced": ([], []), "unvoiced": ([], [])}
     for rf, ef in pairs:
-        l = lsd_frame(rf.samples, ef.samples, nfft)
+        l = lsd_frame(rf.samples, ef.samples)
         s = segsnr_frame(rf.samples, ef.samples)
         v = classify_excitation(rf, energy_ref)
         per_frame.append((rf.index, l, s, v))
@@ -140,16 +141,17 @@ def read_manifest(path) -> list[tuple[str, str, str]]:
     return entries
 
 
-def evaluate_corpus(manifest_path, extender, derive_nb, nfft: int = 512):
+def evaluate_corpus(manifest_path, extender, derive_nb):
     """Run the extender over each manifest entry and measure against the
     wideband reference.
 
     `extender(nb, ref)` maps an 8 kHz buffer (and its reference, used only by
     direct-use modes) to a 16 kHz estimate; `derive_nb(ref)` supplies the
     narrowband signal when the manifest has none.  Missing files are skipped
-    and reported, they do not abort the run.
+    and reported, they do not abort the run; a file at the wrong sample rate
+    raises an AudioError that names it.
     """
-    from .audio import read_wav
+    from .audio import read_wav_at
 
     records: dict[str, MetricsRecord] = {}
     missing: list[str] = []
@@ -157,16 +159,16 @@ def evaluate_corpus(manifest_path, extender, derive_nb, nfft: int = 512):
         if not Path(ref_path).exists():
             missing.append(ref_path)
             continue
-        ref = read_wav(ref_path)
+        ref = read_wav_at(ref_path, 16000)
         if nb_path and nb_path != "-":
             if not Path(nb_path).exists():
                 missing.append(nb_path)
                 continue
-            nb = read_wav(nb_path)
+            nb = read_wav_at(nb_path, 8000)
         else:
             nb = derive_nb(ref)
         est = extender(nb, ref)
-        records[ref_path] = measure(ref, est, nfft)
+        records[ref_path] = measure(ref, est)
     return records, missing
 
 

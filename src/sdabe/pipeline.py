@@ -4,16 +4,18 @@ whole-file overlap-add reconstruction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import AudioBuffer, Frame, downsample2, frame_signal, overlap_add, upsample2_seq
-from .features import DegenerateFrame, extract_feature_pair, gain_g1
+from .features import DegenerateFrame, extract_feature_pair
 from .filters import FirFilter
 from .hbfilter import SynthesisFilter
 from .lpc import NB_LPC_ORDER, LpcModel, inverse_filter, levinson_lpc
-from .regressor import RegressorModel, predict_hb
+from .regressor import predict_hb
+
+DFT_SIZE = 512
 
 
 class PipelineError(ValueError):
@@ -26,10 +28,7 @@ class ExtensionConfig:
     filter_form: str = "fir21"  # "fir21" | "iir"
     addition: str = "dft"  # "dft" | "time"
     gain_adjust: bool = True
-    dft_size: int = 512
     nb_only: bool = False
-    max_poles: int = 16
-    max_zeros: int = 8
 
     def __post_init__(self):
         if self.mode not in ("regressor", "oracle", "fold"):
@@ -38,25 +37,18 @@ class ExtensionConfig:
             raise PipelineError(f"unknown filter form {self.filter_form!r}")
         if self.addition not in ("dft", "time"):
             raise PipelineError(f"unknown addition {self.addition!r}")
-        if self.dft_size & (self.dft_size - 1):
-            raise PipelineError("dft_size must be a power of two")
 
 
 class OracleSource:
     """Per-frame synthesis filters and gains computed from the paired wideband
     signal (the direct-use evaluation mode)."""
 
-    def __init__(self, wb: AudioBuffer, lpf: FirFilter, hpf: FirFilter,
-                 cfg: ExtensionConfig | None = None, rel_tol: float = 1e-3):
-        cfg = cfg or ExtensionConfig(mode="oracle")
+    def __init__(self, wb: AudioBuffer, lpf: FirFilter, hpf: FirFilter):
         self._entries: dict[int, tuple[SynthesisFilter, float] | None] = {}
         self.pairs = []  # the FeaturePairs fall out of the same synthesis pass
         for fr in frame_signal(wb):
             try:
-                pair, synth = extract_feature_pair(
-                    fr, lpf, hpf, max_poles=cfg.max_poles, max_zeros=cfg.max_zeros,
-                    rel_tol=rel_tol, return_filter=True,
-                )
+                pair, synth = extract_feature_pair(fr, lpf, hpf)
                 self._entries[fr.index] = (synth, pair.g1)
                 self.pairs.append(pair)
             except DegenerateFrame:
@@ -69,26 +61,24 @@ class OracleSource:
 def estimate_hb_signal(
     nb_frame: Frame,
     lpc: LpcModel,
-    hb_filter,
+    hb_filter: FirFilter | SynthesisFilter,
     g1_est: float,
     gain_adjust: bool = True,
 ) -> np.ndarray:
     """Residue -> upsample -> high-band filter -> energy gain correction.
 
-    `hb_filter` is either a 21-tap coefficient vector or a state-space cascade
-    (the IIR form).  The correction scales the synthetic high band so its
-    log energy ratio against the narrowband frame matches g1_est.
+    `hb_filter.apply(x)` returns the filtered signal at the length of x: a
+    causal 21-tap FirFilter, or the SynthesisFilter itself for the IIR form
+    (the de-lifted filter followed by the high-pass).  The correction scales
+    the synthetic high band so its log energy ratio against the narrowband
+    frame matches g1_est.
     """
     x = nb_frame.samples
     e_nb = float(np.dot(x, x))
     if e_nb <= 0.0:
         return np.zeros(2 * len(x))
     residue = inverse_filter(nb_frame, lpc)
-    up = upsample2_seq(residue)
-    if isinstance(hb_filter, np.ndarray) or isinstance(hb_filter, (list, tuple)):
-        hb = np.convolve(up, np.asarray(hb_filter, dtype=float))[: len(up)]
-    else:
-        hb = hb_filter.simulate(up)
+    hb = hb_filter.apply(upsample2_seq(residue))
     e_hb = float(np.dot(hb, hb))
     if not gain_adjust:
         return hb
@@ -165,14 +155,14 @@ def extend_frame(
             if entry is None:
                 return nb16
             synth, g1 = entry
-            hb_filter = synth.fir21 if cfg.filter_form == "fir21" else synth.k_hpf
+            hb_filter = synth if cfg.filter_form == "iir" else FirFilter(synth.fir21, causal=True)
         else:
             hb_vec, g1 = predict_hb(predictor, lpc.coeffs)
-            hb_filter = hb_vec
+            hb_filter = FirFilter(hb_vec, causal=True)
         hb16 = estimate_hb_signal(nb_frame, lpc, hb_filter, g1, gain_adjust=cfg.gain_adjust)
     if cfg.addition == "time":
         return nb16 + hb16
-    return dft_add(nb16, hb16, cfg.dft_size, out_len=len(nb16))
+    return dft_add(nb16, hb16, DFT_SIZE, out_len=len(nb16))
 
 
 def extend_file(

@@ -50,16 +50,6 @@ class SignalModel:
     def num_zeros(self) -> int:
         return len(self.num) - 1
 
-    def impulse_response(self, length: int) -> np.ndarray:
-        h = np.zeros(length)
-        b, a = self.num, self.den
-        for n in range(length):
-            acc = b[n] if n < len(b) else 0.0
-            for k in range(1, min(n, len(a) - 1) + 1):
-                acc -= a[k] * h[n - k]
-            h[n] = acc / a[0]
-        return h
-
 
 def zero_crossing_rate(x: np.ndarray) -> float:
     if len(x) < 2:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sdabe.audio import read_wav, write_wav, AudioBuffer
-from sdabe.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, _run_eval, build_parser, main
+from sdabe.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, _load_config, _run_eval, build_parser, main
 from sdabe.filters import design_fixed_filters
 from sdabe.metrics import read_manifest
 from sdabe.pipeline import ExtensionConfig
@@ -84,6 +84,14 @@ def test_extend_wideband_input_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_extend_narrowband_oracle_reference_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    main(["synth-corpus", str(out_dir), "--n-files", "1", "--duration", "0.1"])
+    _, nb, _ = read_manifest(out_dir / "manifest.tsv")[0]
+    assert main(["extend", nb, str(tmp_path / "out.wav"), "--oracle", nb]) == EXIT_USAGE
+    assert nb in capsys.readouterr().err
+
+
 def test_extend_oracle_mode(tmp_path):
     out_dir = tmp_path / "corpus"
     main(["synth-corpus", str(out_dir), "--n-files", "1", "--duration", "0.1"])
@@ -126,6 +134,39 @@ def test_config_file_supplies_defaults_flags_win(tmp_path):
     rc = main(["--config", str(cfg), "synth-corpus", str(out2), "--n-files", "1"])
     assert rc == EXIT_OK
     assert len(read_manifest(out2 / "manifest.tsv")) == 1
+
+
+def test_config_section_value_wins_over_default_section(tmp_path):
+    cfg = tmp_path / "sdabe.ini"
+    cfg.write_text(
+        "[extend]\naddition = dft\n"
+        "[DEFAULT]\naddition = time\nmode = fold\n"
+        "[corpus]\nn_files = 2\n"
+    )
+    # a later section does not bring [DEFAULT] back over an earlier one
+    assert _load_config(cfg) == {"addition": "dft", "mode": "fold", "n_files": "2"}
+
+
+def test_evaluate_wideband_narrowband_file_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    main(["synth-corpus", str(out_dir), "--n-files", "1", "--duration", "0.1"])
+    ref, _, _ = read_manifest(out_dir / "manifest.tsv")[0]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{ref}\t{ref}\twrong-rate\n")  # 16 kHz in the narrowband column
+    rc = main(["evaluate", str(manifest), str(tmp_path / "res"), "--mode", "fold"])
+    assert rc == EXIT_USAGE
+    assert ref in capsys.readouterr().err
+
+
+def test_train_narrowband_reference_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    main(["synth-corpus", str(out_dir), "--n-files", "1", "--duration", "0.1"])
+    _, nb, _ = read_manifest(out_dir / "manifest.tsv")[0]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{nb}\t-\twrong-rate\n")  # 8 kHz in the reference column
+    rc = main(["train", str(manifest), str(tmp_path / "m.json")])
+    assert rc == EXIT_USAGE
+    assert nb in capsys.readouterr().err
 
 
 def test_parser_accepts_extension_flags():

@@ -90,10 +90,11 @@ def test_extract_pair_on_synthetic_frame(rng):
     exc[::64] = 1.0
     x = lfilter([1.0], [1.0, -0.6, 0.4], exc + 0.05 * rng.standard_normal(400))
     fr = Frame(samples=x, rate=16000, index=0, hop=200)
-    pair = extract_feature_pair(fr, lpf, hpf)
+    pair, synth = extract_feature_pair(fr, lpf, hpf)
     assert len(pair.nb) == NB_DIM
     assert len(pair.hb) == HB_DIM
     assert np.isfinite(pair.g1)
+    assert np.array_equal(pair.hb, synth.fir21)
 
 
 def test_extract_pair_rejects_silence():

@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from conftest import random_stable_ss
 from sdabe.hbfilter import (
     FIR_FEATURE_LEN,
+    TRUNCATION_SPAN,
     HbFilterError,
     assemble_synthesis_filter,
     extract_highband_filter,
 )
-from sdabe.audio import upsample2_seq
+from sdabe.audio import frame_signal, upsample2_seq
+from sdabe.corpus import synth_utterance
+from sdabe.features import extract_feature_pair
 from sdabe.filters import design_fixed_filters
-from sdabe.statespace import tf_to_ss
+from sdabe.statespace import series, tf_to_ss
 
 
 def test_interleaving_identity(rng):
@@ -45,12 +49,27 @@ def test_extract_fir_is_truncated_cascade_response(rng):
     ktilde = random_stable_ss(rng, 3, inputs=1, outputs=2)
     k = assemble_synthesis_filter(ktilde)
     synth = extract_highband_filter(k, hpf)
-    h_full = synth.k_hpf.impulse_response(512)[:, 0]
+    h_full = lfilter(hpf.taps, [1.0], k.impulse_response(512)[:, 0])
     assert len(synth.fir21) == FIR_FEATURE_LEN
     assert np.allclose(synth.fir21, h_full[:FIR_FEATURE_LEN], atol=1e-12)
     tail = float(np.dot(h_full[FIR_FEATURE_LEN:], h_full[FIR_FEATURE_LEN:]))
     total = float(np.dot(h_full, h_full))
     assert abs(synth.truncation_ratio - tail / total) < 1e-12
+
+
+def test_two_stage_highpass_matches_state_space_cascade(rng):
+    # reference: the high-pass realized in state space and cascaded after the
+    # de-lifted filter of a synthesized frame
+    lpf, hpf = design_fixed_filters()
+    wb = synth_utterance(np.random.default_rng(3))
+    _, synth = extract_feature_pair(frame_signal(wb)[2], lpf, hpf)
+    ref = series(synth.k, tf_to_ss(hpf.taps, [1.0]))
+    h = ref.impulse_response(TRUNCATION_SPAN)[:, 0]
+    ratio = float(np.dot(h[FIR_FEATURE_LEN:], h[FIR_FEATURE_LEN:])) / float(np.dot(h, h))
+    assert np.max(np.abs(synth.fir21 - h[:FIR_FEATURE_LEN])) <= 1e-14
+    assert abs(synth.truncation_ratio - ratio) <= 1e-14
+    x = upsample2_seq(rng.standard_normal(200))
+    assert np.max(np.abs(synth.apply(x) - ref.simulate(x))) <= 1e-12
 
 
 def test_truncation_ratio_zero_for_short_fir(rng):

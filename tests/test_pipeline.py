@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from sdabe.audio import AudioBuffer, Frame, frame_signal
-from sdabe.filters import design_fixed_filters
+from sdabe.audio import AudioBuffer, Frame, frame_signal, upsample2_seq
+from sdabe.filters import FirFilter, design_fixed_filters
+from sdabe.lpc import NB_LPC_ORDER, inverse_filter, levinson_lpc
 from sdabe.pipeline import (
     ExtensionConfig,
     OracleSource,
     PipelineError,
     dft_add,
+    estimate_hb_signal,
     extend_file,
     fold_baseline,
     narrowband_of,
@@ -28,7 +30,7 @@ def test_config_validation():
     with pytest.raises(PipelineError):
         ExtensionConfig(addition="bogus")
     with pytest.raises(PipelineError):
-        ExtensionConfig(dft_size=500)
+        ExtensionConfig(filter_form="bogus")
 
 
 def test_dft_add_round_trips_band_limited_narrowband(rng):
@@ -67,6 +69,15 @@ def test_dft_add_is_linear_in_each_band(rng):
 def test_dft_add_rejects_undersized_transform(rng):
     with pytest.raises(PipelineError):
         dft_add(np.zeros(512), np.zeros(512), 256)
+
+
+def test_estimate_hb_signal_fir_form_is_causal_convolution(rng):
+    fr = Frame(samples=rng.standard_normal(200), rate=8000, index=0, hop=100)
+    lpc = levinson_lpc(fr, NB_LPC_ORDER)
+    taps = rng.standard_normal(21)
+    hb = estimate_hb_signal(fr, lpc, FirFilter(taps, causal=True), 0.0, gain_adjust=False)
+    up = upsample2_seq(inverse_filter(fr, lpc))
+    assert np.array_equal(hb, np.convolve(up, taps)[: len(up)])
 
 
 def test_process_nb_upsamples_and_restores_level(filters):
@@ -147,7 +158,7 @@ def test_oracle_source_round_trip(filters, rng):
     wb_sig = lfilter([1.0], [1.0, -0.5, 0.3], exc + 0.05 * rng.standard_normal(1200))
     wb = AudioBuffer(0.4 * wb_sig / np.max(np.abs(wb_sig)), 16000)
     cfg = ExtensionConfig(mode="oracle")
-    src = OracleSource(wb, lpf, hpf, cfg)
+    src = OracleSource(wb, lpf, hpf)
     nb = narrowband_of(wb, lpf)
     out = extend_file(nb, src, cfg, lpf, hpf)
     assert len(out) == 2 * len(nb)

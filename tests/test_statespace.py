@@ -8,16 +8,12 @@ from conftest import random_stable_ss
 from sdabe.statespace import (
     StateSpaceError,
     StateSpaceModel,
-    add,
     expand_z2,
     lift2,
     lift_signal,
     series,
-    stack_outputs,
     static_gain,
-    subtract,
     tf_to_ss,
-    unlift_signal,
 )
 
 
@@ -47,24 +43,6 @@ def test_series_is_composition(rng):
     assert np.allclose(y_series, y_direct, atol=1e-10)
 
 
-def test_add_and_subtract(rng):
-    g1 = random_stable_ss(rng, 2)
-    g2 = random_stable_ss(rng, 3)
-    u = rng.standard_normal((40, 1))
-    assert np.allclose(add(g1, g2).simulate(u), g1.simulate(u) + g2.simulate(u), atol=1e-10)
-    assert np.allclose(subtract(g1, g2).simulate(u), g1.simulate(u) - g2.simulate(u), atol=1e-10)
-
-
-def test_stack_outputs(rng):
-    g1 = random_stable_ss(rng, 2)
-    g2 = random_stable_ss(rng, 2)
-    u = rng.standard_normal((30, 1))
-    y = stack_outputs(g1, g2).simulate(u)
-    assert y.shape == (30, 2)
-    assert np.allclose(y[:, 0:1], g1.simulate(u), atol=1e-12)
-    assert np.allclose(y[:, 1:2], g2.simulate(u), atol=1e-12)
-
-
 def _markov_by_recursion(g, length):
     h = np.empty((length, g.m, g.p))
     h[0] = g.D
@@ -89,6 +67,26 @@ def test_impulse_response_all_of_static_gain():
     assert not np.any(h[1:])
 
 
+def _freq_response_by_loop(g, w):
+    out = np.empty((len(w), g.m, g.p), dtype=complex)
+    for i, wi in enumerate(w):
+        x = np.linalg.solve(np.exp(1j * wi) * np.eye(g.n) - g.A, g.B) if g.n else np.zeros((0, g.p))
+        out[i] = g.D + g.C @ x
+    return out
+
+
+@pytest.mark.parametrize("n, m, p", [(0, 3, 2), (1, 1, 1), (5, 3, 2), (40, 1, 2)])
+def test_freq_response_matches_per_frequency_solve(rng, n, m, p):
+    # D + C (zI - A)^-1 B solved one frequency at a time: the batched solve
+    # does the same arithmetic, so the results are equal, not just close
+    g = random_stable_ss(rng, n, inputs=p, outputs=m, radius=0.99)
+    w = np.concatenate([np.linspace(0.0, np.pi, 97), rng.uniform(0.0, np.pi, 5)])
+    resp = g.freq_response(w)
+    assert resp.shape == (len(w), m, p)
+    assert np.array_equal(resp, _freq_response_by_loop(g, w))
+    assert g.freq_response(0.3).shape == (1, m, p)
+
+
 def test_static_gain():
     g = static_gain(np.array([[2.0, -1.0]]))
     u = np.array([[1.0, 3.0], [0.5, 0.0]])
@@ -100,12 +98,12 @@ def test_lift2_reproduces_blocked_response(rng):
     u = rng.standard_normal(40)
     y = g.simulate(u.reshape(-1, 1))[:, 0]
     y2 = lift2(g).simulate(lift_signal(u))
-    assert np.allclose(unlift_signal(y2), y, atol=1e-10)
+    assert np.allclose(y2.reshape(-1), y, atol=1e-10)
 
 
 def test_lift_unlift_round_trip(rng):
     u = rng.standard_normal(32)
-    assert np.allclose(unlift_signal(lift_signal(u)), u, atol=1e-15)
+    assert np.allclose(lift_signal(u).reshape(-1), u, atol=1e-15)
 
 
 def test_expand_z2_substitutes_squared_argument(rng):
