@@ -11,13 +11,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .audio import AudioBuffer, AudioError, frame_signal, read_wav_at, write_wav
-from .features import DegenerateFrame, extract_feature_pair
 from .filters import design_fixed_filters
 from .metrics import (MetricsError, evaluate_corpus, read_manifest,
                       write_frame_csv, write_report)
@@ -99,29 +97,19 @@ def cmd_synth_corpus(args) -> int:
     return EXIT_OK
 
 
-def collect_pairs(manifest_path, jobs: int = 1):
-    """Frame-level feature extraction over all manifest reference files."""
+def collect_pairs(manifest_path):
+    """Frame-level training pairs over all manifest reference files, from the
+    same per-frame synthesis as oracle mode; also counts the skipped frames."""
     lpf, hpf = design_fixed_filters()
-    entries = read_manifest(manifest_path)
     pairs = []
     skipped = 0
-
-    def _one_file(ref_path):
+    for ref_path, _, _ in read_manifest(manifest_path):
         wb = read_wav_at(ref_path, 16000)
-        out, skip = [], 0
-        for fr in frame_signal(wb):
-            try:
-                out.append(extract_feature_pair(fr, lpf, hpf)[0])
-            except DegenerateFrame:
-                skip += 1
-        return out, skip
-
-    paths = [e[0] for e in entries]
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        for ref_path, (out, skip) in zip(paths, pool.map(_one_file, paths)):
-            pairs.extend(out)
-            skipped += skip
-            _progress(f"features: {ref_path} ({len(out)} frames, {skip} skipped)")
+        src = OracleSource(wb, lpf, hpf)
+        skip = sum(src.get(fr.index) is None for fr in frame_signal(wb))
+        pairs.extend(src.pairs)
+        skipped += skip
+        _progress(f"features: {ref_path} ({len(src.pairs)} frames, {skip} skipped)")
     return pairs, skipped
 
 
@@ -131,8 +119,8 @@ def cmd_train(args) -> int:
         return EXIT_MISSING
     opts = _resolve(args, {"epochs": 50, "batch_size": 180, "learning_rate": 0.01})
     try:
-        pairs, skipped = collect_pairs(args.manifest, jobs=args.jobs)
-    except AudioError as exc:
+        pairs, skipped = collect_pairs(args.manifest)
+    except (AudioError, MetricsError) as exc:
         _progress(f"bad input: {exc}")
         return EXIT_USAGE
     batch = int(opts["batch_size"])
@@ -241,7 +229,12 @@ def cmd_evaluate(args) -> int:
     if not Path(args.manifest).exists():
         _progress(f"missing manifest: {args.manifest}")
         return EXIT_MISSING
-    if not read_manifest(args.manifest):
+    try:
+        entries = read_manifest(args.manifest)
+    except MetricsError as exc:
+        _progress(f"bad input: {exc}")
+        return EXIT_USAGE
+    if not entries:
         _progress("empty manifest")
         return EXIT_USAGE
     opts = _resolve(args, dict(_EXT_DEFAULTS))
@@ -288,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sdabe")
     ap.add_argument("--config", default=None)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
     sub = ap.add_subparsers(dest="command")
 
     sp = sub.add_parser("synth-corpus")

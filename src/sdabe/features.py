@@ -123,7 +123,7 @@ def extract_feature_pair(wb_frame: Frame, lpf: FirFilter, hpf: FirFilter):
     if a_lpc.degenerate:
         raise DegenerateFrame("degenerate LPC fit")
     plant = build_generalized_plant(model, lpf)
-    sol = hinf_synthesize(plant, verify=False)
+    sol = hinf_synthesize(plant)
     if not (sol.controller.n or np.any(sol.controller.D)):
         raise DegenerateFrame("zero synthesis filter")
     # the controller reads the narrowband signal; the filter reads its LPC

@@ -46,13 +46,6 @@ class FirFilter:
         q = self.half_delay_q
         return full[q : q + len(x)]
 
-    def freq_response(self, w: np.ndarray) -> np.ndarray:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        n = np.arange(len(self.taps))
-        if not self.causal:
-            n = n - self.half_delay_q
-        return np.exp(-1j * np.outer(w, n)) @ self.taps
-
 
 def _windowed_sinc_lowpass(length: int, cutoff: float, window=np.hamming) -> np.ndarray:
     m = (length - 1) // 2

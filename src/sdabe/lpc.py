@@ -17,8 +17,6 @@ class LpcModel:
     """Predictor a_1..a_p with A(z) = 1 - sum a_k z^-k."""
 
     coeffs: np.ndarray
-    order: int
-    residual_gain: float
     degenerate: bool = False
 
     def __post_init__(self):
@@ -29,8 +27,8 @@ class LpcModel:
         return np.concatenate([[1.0], -self.coeffs])
 
 
-def _levinson(r: np.ndarray, order: int) -> tuple[np.ndarray, float]:
-    """Levinson-Durbin on autocorrelation r; returns (a_1..a_p, error power)."""
+def _levinson(r: np.ndarray, order: int) -> np.ndarray:
+    """Levinson-Durbin on autocorrelation r; returns a_1..a_p."""
     a = np.zeros(order)
     err = r[0]
     for i in range(order):
@@ -43,7 +41,7 @@ def _levinson(r: np.ndarray, order: int) -> tuple[np.ndarray, float]:
         err *= 1.0 - k * k
         if err <= 0:
             err = 1e-12
-    return a, float(err)
+    return a
 
 
 def _stabilize(a: np.ndarray) -> np.ndarray:
@@ -72,12 +70,10 @@ def levinson_lpc(frame: Frame, order: int = NB_LPC_ORDER) -> LpcModel:
     if len(x) <= order:
         raise ValueError("frame shorter than LPC order")
     if not np.any(x):
-        return LpcModel(coeffs=np.zeros(order), order=order, residual_gain=0.0, degenerate=True)
+        return LpcModel(coeffs=np.zeros(order), degenerate=True)
     r = np.array([np.dot(x[: len(x) - k], x[k:]) for k in range(order + 1)]) / len(x)
     r[0] *= 1.0 + AUTOCORR_FLOOR
-    a, err = _levinson(r, order)
-    a = _stabilize(a)
-    return LpcModel(coeffs=a, order=order, residual_gain=float(np.sqrt(max(err, 0.0))))
+    return LpcModel(coeffs=_stabilize(_levinson(r, order)))
 
 
 def inverse_filter(frame: Frame, lpc: LpcModel) -> np.ndarray:

@@ -63,22 +63,6 @@ def _silent(x: np.ndarray) -> bool:
     return e <= 10.0 ** (SILENCE_DBFS / 10.0)
 
 
-def lsd(ref: AudioBuffer, est: AudioBuffer) -> float:
-    vals = [lsd_frame(rf.samples, ef.samples) for rf, ef in _paired_frames(ref, est)]
-    return float(np.mean(vals))
-
-
-def segsnr(ref: AudioBuffer, est: AudioBuffer) -> float:
-    vals = [
-        segsnr_frame(rf.samples, ef.samples)
-        for rf, ef in _paired_frames(ref, est)
-        if not _silent(rf.samples)
-    ]
-    if not vals:
-        raise MetricsError("no non-silent reference frames")
-    return float(np.mean(vals))
-
-
 @dataclass
 class MetricsRecord:
     lsd: float
@@ -128,13 +112,13 @@ def measure(ref: AudioBuffer, est: AudioBuffer) -> MetricsRecord:
 def read_manifest(path) -> list[tuple[str, str, str]]:
     """Tab-separated lines: reference wav, narrowband wav (may be '-'), tag."""
     entries = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) < 2:
-            raise MetricsError(f"bad manifest line: {raw!r}")
+            raise MetricsError(f"{path}:{lineno}: bad manifest line {raw!r}")
         ref, nb = parts[0], parts[1]
         tag = parts[2] if len(parts) > 2 else ""
         entries.append((ref, nb, tag))

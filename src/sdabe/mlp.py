@@ -126,9 +126,8 @@ class Mlp:
 
     # ---- training -----------------------------------------------------------
 
-    def fit(self, X: np.ndarray, Y: np.ndarray, epochs: int | None = None):
+    def fit(self, X: np.ndarray, Y: np.ndarray):
         cfg = self.cfg
-        epochs = cfg.epochs if epochs is None else epochs
         rng = np.random.default_rng(cfg.seed + 1)
         groups = [("W", self.W), ("b", self.b), ("gamma", self.gamma), ("beta", self.beta)]
         m_state = {k: [np.zeros_like(p) for p in ps] for k, ps in groups}
@@ -136,7 +135,7 @@ class Mlp:
         t = 0
         N = X.shape[0]
         bs = min(cfg.batch_size, N)
-        for _ in range(epochs):
+        for _ in range(cfg.epochs):
             order = rng.permutation(N)
             epoch_loss = 0.0
             n_batches = 0

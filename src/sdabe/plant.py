@@ -56,15 +56,10 @@ class GeneralizedPlant:
     D11: np.ndarray
     C2: np.ndarray
     D21: np.ndarray
-    half_delay_q: int = 0
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def n_w(self) -> int:
-        return self.B.shape[1]
 
     @property
     def n_z(self) -> int:
@@ -73,11 +68,6 @@ class GeneralizedPlant:
     @property
     def n_y(self) -> int:
         return self.C2.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        # control subtracts channel-wise from the reference output
-        return self.n_z
 
 
 def _reference_and_lowpass(f_ss: StateSpaceModel, taps: np.ndarray, q: int) -> StateSpaceModel:
@@ -126,7 +116,7 @@ def build_generalized_plant(F: SignalModel, lpf: FirFilter) -> GeneralizedPlant:
     C = g.C[:, keep]
     return GeneralizedPlant(
         A=g.A[np.ix_(keep, keep)], B=g.B[keep], C1=C[[0, 2]], D11=g.D[[0, 2]],
-        C2=C[1:2], D21=g.D[1:2], half_delay_q=q,
+        C2=C[1:2], D21=g.D[1:2],
     )
 
 

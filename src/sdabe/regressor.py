@@ -134,36 +134,44 @@ def save_model(model: RegressorModel, path) -> None:
 
 def load_model(path) -> RegressorModel:
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"{path}: not a model file ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ModelError(f"{path}: not a model file (expected a JSON object)")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ModelError(f"unsupported model format version {doc.get('format_version')!r}")
-    mvn_in = MvnStats(np.array(doc["mvn_in"]["mean"]), np.array(doc["mvn_in"]["std"]))
-    mvn_out = MvnStats(np.array(doc["mvn_out"]["mean"]), np.array(doc["mvn_out"]["std"]))
-    kind = doc["kind"]
-    if kind == "mlp":
-        blob = doc["mlp"]
-        cfg = MlpConfig(**{k: v for k, v in doc["config"].items()})
-        net = Mlp(blob["dims"][0], blob["dims"][-1], cfg)
-        net.dims = list(blob["dims"])
-        net.W = [np.array(w) for w in blob["W"]]
-        net.b = [np.array(b) for b in blob["b"]]
-        net.gamma = [np.array(g) for g in blob["gamma"]]
-        net.beta = [np.array(b) for b in blob["beta"]]
-        net.run_mean = [np.array(m) for m in blob["run_mean"]]
-        net.run_var = [np.array(v) for v in blob["run_var"]]
-        net.loss_history = list(blob["loss_history"])
-        net.trained = True
-        return RegressorModel(
-            kind="mlp", mvn_in=mvn_in, mvn_out=mvn_out, mlp=net, config=doc["config"]
-        )
-    if kind == "gmm":
-        blob = doc["gmm"]
-        gmm = Gmm(len(blob["weights"]), seed=doc["config"].get("seed", 0))
-        gmm.weights = np.array(blob["weights"])
-        gmm.means = np.array(blob["means"])
-        gmm.covs = np.array(blob["covs"])
-        gmm.loglik_history = list(blob["loglik_history"])
-        return RegressorModel(
-            kind="gmm", mvn_in=mvn_in, mvn_out=mvn_out, gmm=gmm, config=doc["config"]
-        )
+    try:
+        mvn_in = MvnStats(np.array(doc["mvn_in"]["mean"]), np.array(doc["mvn_in"]["std"]))
+        mvn_out = MvnStats(np.array(doc["mvn_out"]["mean"]), np.array(doc["mvn_out"]["std"]))
+        kind = doc["kind"]
+        if kind == "mlp":
+            blob = doc["mlp"]
+            cfg = MlpConfig(**{k: v for k, v in doc["config"].items()})
+            net = Mlp(blob["dims"][0], blob["dims"][-1], cfg)
+            net.dims = list(blob["dims"])
+            net.W = [np.array(w) for w in blob["W"]]
+            net.b = [np.array(b) for b in blob["b"]]
+            net.gamma = [np.array(g) for g in blob["gamma"]]
+            net.beta = [np.array(b) for b in blob["beta"]]
+            net.run_mean = [np.array(m) for m in blob["run_mean"]]
+            net.run_var = [np.array(v) for v in blob["run_var"]]
+            net.loss_history = list(blob["loss_history"])
+            net.trained = True
+            return RegressorModel(
+                kind="mlp", mvn_in=mvn_in, mvn_out=mvn_out, mlp=net, config=doc["config"]
+            )
+        if kind == "gmm":
+            blob = doc["gmm"]
+            gmm = Gmm(len(blob["weights"]), seed=doc["config"].get("seed", 0))
+            gmm.weights = np.array(blob["weights"])
+            gmm.means = np.array(blob["means"])
+            gmm.covs = np.array(blob["covs"])
+            gmm.loglik_history = list(blob["loglik_history"])
+            return RegressorModel(
+                kind="gmm", mvn_in=mvn_in, mvn_out=mvn_out, gmm=gmm, config=doc["config"]
+            )
+    except KeyError as exc:
+        raise ModelError(f"{path}: model file lacks key {exc.args[0]!r}") from exc
     raise ModelError(f"unknown model kind {kind!r}")

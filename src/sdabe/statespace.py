@@ -57,13 +57,14 @@ class StateSpaceModel:
     def poles(self) -> np.ndarray:
         return np.linalg.eigvals(self.A) if self.n else np.empty(0, dtype=complex)
 
-    def is_stable(self, margin: float = 0.0) -> bool:
+    def is_stable(self) -> bool:
         if self.n == 0:
             return True
-        return bool(np.max(np.abs(self.poles())) < 1.0 - margin)
+        return bool(np.max(np.abs(self.poles())) < 1.0)
 
-    def simulate(self, u: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-        """Run the recursion on input u of shape (T, p) (or (T,) for SISO).
+    def simulate(self, u: np.ndarray) -> np.ndarray:
+        """Run the recursion from the zero state on input u of shape (T, p)
+        (or (T,) for SISO).
 
         Returns output of shape (T, m), or (T,) if the input was 1-D and m == 1.
         """
@@ -74,7 +75,7 @@ class StateSpaceModel:
         T = u.shape[0]
         if u.shape[1] != self.p:
             raise StateSpaceError(f"input dim {u.shape[1]} != {self.p}")
-        x = np.zeros(self.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+        x = np.zeros(self.n)
         y = np.empty((T, self.m))
         A, B, C, D = self.A, self.B, self.C, self.D
         for t in range(T):
@@ -195,13 +196,6 @@ def lift2(g: StateSpaceModel) -> StateSpaceModel:
     C2 = np.vstack([C, C @ A])
     D2 = np.block([[D, np.zeros((m, p))], [C @ B, D]])
     return StateSpaceModel(A2, B2, C2, D2)
-
-
-def lift_signal(u: np.ndarray) -> np.ndarray:
-    """Interleaved scalar stream -> (T/2, 2) pairs [u(2k), u(2k+1)]."""
-    u = np.asarray(u, dtype=float)
-    T = len(u) // 2
-    return u[: 2 * T].reshape(T, 2)
 
 
 def expand_z2(g: StateSpaceModel) -> StateSpaceModel:

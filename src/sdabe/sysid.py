@@ -17,38 +17,16 @@ ENERGY_GATE = 1e-4
 
 @dataclass(frozen=True)
 class SignalModel:
-    """Stable pole-zero model of one frame plus its excitation class."""
+    """Stable pole-zero model num(z)/den(z) of one frame."""
 
     num: np.ndarray
     den: np.ndarray
-    excitation: str  # "voiced" | "unvoiced"
     fit_error: float
     degenerate: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "num", np.asarray(self.num, dtype=float).reshape(-1))
         object.__setattr__(self, "den", np.asarray(self.den, dtype=float).reshape(-1))
-
-    @property
-    def poles(self) -> np.ndarray:
-        return np.roots(self.den) if len(self.den) > 1 else np.empty(0, dtype=complex)
-
-    @property
-    def zeros(self) -> np.ndarray:
-        nz = np.trim_zeros(self.num, "b")
-        return np.roots(nz) if len(nz) > 1 else np.empty(0, dtype=complex)
-
-    @property
-    def gain(self) -> float:
-        return float(self.num[0]) if len(self.num) else 0.0
-
-    @property
-    def num_poles(self) -> int:
-        return len(self.den) - 1
-
-    @property
-    def num_zeros(self) -> int:
-        return len(self.num) - 1
 
 
 def zero_crossing_rate(x: np.ndarray) -> float:
@@ -112,7 +90,6 @@ def prony_fit(
     frame: Frame,
     max_poles: int = MAX_POLES_DEFAULT,
     max_zeros: int = MAX_ZEROS_DEFAULT,
-    excitation: str | None = None,
 ) -> SignalModel:
     """Grid-search classical Prony over even (poles, zeros) orders.
 
@@ -125,12 +102,10 @@ def prony_fit(
     x = frame.samples
     if len(x) < 4 * (max_poles + max_zeros):
         raise ValueError("frame too short for requested model orders")
-    exc = excitation if excitation is not None else classify_excitation(frame)
     rms = float(np.sqrt(np.mean(x**2)))
     if rms < DEGENERATE_RMS:
         return SignalModel(
-            num=np.array([rms]), den=np.array([1.0]), excitation=exc,
-            fit_error=0.0, degenerate=True,
+            num=np.array([rms]), den=np.array([1.0]), fit_error=0.0, degenerate=True,
         )
     best = None
     orders = sorted(
@@ -146,8 +121,7 @@ def prony_fit(
             best = (b, den, err)
     if best is None:
         return SignalModel(
-            num=np.array([rms]), den=np.array([1.0]), excitation=exc,
-            fit_error=1.0, degenerate=True,
+            num=np.array([rms]), den=np.array([1.0]), fit_error=1.0, degenerate=True,
         )
     b, den, err = best
-    return SignalModel(num=b, den=den, excitation=exc, fit_error=err)
+    return SignalModel(num=b, den=den, fit_error=err)

@@ -7,11 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sdabe.audio import read_wav, write_wav, AudioBuffer
-from sdabe.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, _load_config, _run_eval, build_parser, main
+from sdabe.audio import AudioBuffer, frame_signal, read_wav, write_wav
+from sdabe.cli import (EXIT_MISSING, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _load_config, _run_eval,
+                       build_parser, collect_pairs, main)
 from sdabe.filters import design_fixed_filters
 from sdabe.metrics import read_manifest
-from sdabe.pipeline import ExtensionConfig
+from sdabe.pipeline import ExtensionConfig, OracleSource
 
 
 def test_no_command_prints_usage():
@@ -167,6 +168,64 @@ def test_train_narrowband_reference_is_usage_error(tmp_path, capsys):
     rc = main(["train", str(manifest), str(tmp_path / "m.json")])
     assert rc == EXIT_USAGE
     assert nb in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("train", []), ("evaluate", ["--mode", "fold"])], ids=["train", "evaluate"]
+)
+def test_malformed_manifest_is_usage_error(tmp_path, capsys, command, extra):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("# one column is not enough\nonly_a_reference.wav\n")
+    assert main([command, str(manifest), str(tmp_path / "out"), *extra]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "only_a_reference.wav" in err and ":2:" in err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [('{"format_version": 1}', "'mvn_in'"), ('{"format_version": 1, "mvn', "not a model file"),
+     ("[1, 2]", "not a model file")],
+    ids=["missing-key", "truncated", "not-an-object"],
+)
+def test_malformed_model_is_model_error(tmp_path, capsys, text, reason):
+    rng = np.random.default_rng(0)
+    nb, wb = tmp_path / "nb.wav", tmp_path / "wb.wav"
+    write_wav(nb, AudioBuffer(rng.standard_normal(800) * 0.1, 8000))
+    write_wav(wb, AudioBuffer(rng.standard_normal(1600) * 0.1, 16000))
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{wb}\t{nb}\tt\n")
+    model = tmp_path / "m.json"
+    model.write_text(text)
+    rc = main(["extend", str(nb), str(tmp_path / "out.wav"), "--model", str(model)])
+    assert rc == EXIT_NUMERIC
+    assert reason in capsys.readouterr().err
+    rc = main(["evaluate", str(manifest), str(tmp_path / "res"), "--model", str(model)])
+    assert rc == EXIT_NUMERIC
+    assert reason in capsys.readouterr().err
+
+
+def test_collect_pairs_is_oracle_synthesis_per_file(tmp_path):
+    out_dir = tmp_path / "corpus"
+    main(["synth-corpus", str(out_dir), "--n-files", "2", "--duration", "0.05"])
+    silent = tmp_path / "silent.wav"
+    write_wav(silent, AudioBuffer(np.zeros(800), 16000))
+    manifest = tmp_path / "manifest.tsv"
+    refs = [ref for ref, _, _ in read_manifest(out_dir / "manifest.tsv")]
+    refs.insert(1, str(silent))
+    manifest.write_text("".join(f"{ref}\t-\tt\n" for ref in refs))
+    pairs, skipped = collect_pairs(manifest)
+    lpf, hpf = design_fixed_filters()
+    expected, expected_skips = [], 0
+    for ref in refs:
+        wb = read_wav(ref)
+        src = OracleSource(wb, lpf, hpf)
+        expected += src.pairs
+        expected_skips += sum(src.get(fr.index) is None for fr in frame_signal(wb))
+    assert skipped == expected_skips > 0
+    assert len(pairs) == len(expected) > 0
+    for got, want in zip(pairs, expected):
+        assert np.array_equal(got.nb, want.nb) and np.array_equal(got.hb, want.hb)
+        assert got.g1 == want.g1
 
 
 def test_parser_accepts_extension_flags():

@@ -66,7 +66,7 @@ def _random_estimation_plant(rng, n):
 def test_synthesis_never_beats_physics(rng):
     for _ in range(8):
         plant = _random_estimation_plant(rng, int(rng.integers(2, 7)))
-        sol = hinf_synthesize(plant, rel_tol=1e-3)
+        sol = hinf_synthesize(plant)
         open_norm = hinf_norm(open_loop_error(plant))
         assert sol.gamma <= open_norm + 1e-9
         cl = closed_loop(plant, sol.controller)
@@ -80,7 +80,7 @@ def test_synthesis_reaches_zero_for_measurable_target(rng):
     plant = GeneralizedPlant(
         A=g.A, B=g.B, C1=g.C, D11=g.D, C2=g.C, D21=g.D
     )
-    sol = hinf_synthesize(plant, rel_tol=1e-3)
+    sol = hinf_synthesize(plant)
     open_norm = hinf_norm(open_loop_error(plant))
     assert sol.gamma < 0.05 * open_norm
 
@@ -96,15 +96,9 @@ def test_zero_controller_for_useless_measurement(rng):
         C2=np.zeros((1, 2)),
         D21=np.array([[0.0, 1.0]]),
     )
-    sol = hinf_synthesize(plant, rel_tol=1e-3)
+    sol = hinf_synthesize(plant)
     open_norm = hinf_norm(open_loop_error(plant))
     assert sol.gamma >= open_norm * (1.0 - 2e-3)
-
-
-def test_rejects_bad_tolerance(rng):
-    plant = _random_estimation_plant(rng, 3)
-    with pytest.raises(ValueError):
-        hinf_synthesize(plant, rel_tol=0.0)
 
 
 def test_failed_pencil_reordering_rejects_the_level(rng, monkeypatch):
@@ -115,6 +109,6 @@ def test_failed_pencil_reordering_rejects_the_level(rng, monkeypatch):
 
     plant = _random_estimation_plant(rng, 3)
     monkeypatch.setattr("sdabe.hinf.sla.ordqz", refuse)
-    sol = hinf_synthesize(plant, rel_tol=1e-3)
+    sol = hinf_synthesize(plant)
     assert sol.controller.n == 0 and not np.any(sol.controller.D)
     assert sol.gamma == pytest.approx(hinf_norm(open_loop_error(plant)), rel=1e-6)
