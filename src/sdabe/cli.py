@@ -17,8 +17,7 @@ import numpy as np
 
 from .audio import AudioBuffer, AudioError, frame_signal, read_wav_at, write_wav
 from .filters import design_fixed_filters
-from .metrics import (MetricsError, evaluate_corpus, read_manifest,
-                      write_frame_csv, write_report)
+from .metrics import MetricsError, measure, read_manifest, write_frame_csv, write_report
 from .mlp import MlpConfig
 from .pipeline import ExtensionConfig, OracleSource, PipelineError, extend_file, narrowband_of
 from .regressor import ModelError, load_model, save_model, train_gmm, train_mlp
@@ -59,14 +58,33 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return out
 
 
+class ConfigError(Exception):
+    """A setting whose value its key does not accept (exit 1)."""
+
+
+def _boolean(text) -> bool:
+    """configparser's words: 1/yes/true/on and 0/no/false/off."""
+    return configparser.ConfigParser.BOOLEAN_STATES[str(text).lower()]
+
+
+def _value(opts: dict, key: str, convert):
+    try:
+        return convert(opts[key])
+    except (KeyError, ValueError):
+        raise ConfigError(f"bad value for {key}: {opts[key]!r}") from None
+
+
 def _ext_config(opts: dict) -> ExtensionConfig:
-    return ExtensionConfig(
-        mode=str(opts["mode"]),
-        filter_form=str(opts["filter_form"]),
-        addition=str(opts["addition"]),
-        gain_adjust=str(opts["gain_adjust"]).lower() not in ("0", "false", "no"),
-        nb_only=str(opts["nb_only"]).lower() in ("1", "true", "yes"),
-    )
+    try:
+        return ExtensionConfig(
+            mode=str(opts["mode"]),
+            filter_form=str(opts["filter_form"]),
+            addition=str(opts["addition"]),
+            gain_adjust=_value(opts, "gain_adjust", _boolean),
+            nb_only=_value(opts, "nb_only", _boolean),
+        )
+    except PipelineError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 _EXT_DEFAULTS = {
@@ -91,7 +109,8 @@ def cmd_synth_corpus(args) -> int:
 
     opts = _resolve(args, {"n_files": 10, "duration": 0.2})
     manifest = generate_corpus(
-        args.out_dir, int(opts["n_files"]), seed=args.seed, duration=float(opts["duration"])
+        args.out_dir, _value(opts, "n_files", int), seed=args.seed,
+        duration=_value(opts, "duration", float),
     )
     _progress(f"wrote {opts['n_files']} file pairs, manifest {manifest}")
     return EXIT_OK
@@ -123,23 +142,25 @@ def cmd_train(args) -> int:
     except (AudioError, MetricsError) as exc:
         _progress(f"bad input: {exc}")
         return EXIT_USAGE
-    batch = int(opts["batch_size"])
-    if len(pairs) < batch:
-        _progress(f"only {len(pairs)} training pairs (need {batch}); {skipped} skipped")
-        return EXIT_USAGE
     try:
         if args.gmm:
             model = train_gmm(pairs, components=args.gmm, seed=args.seed)
             history = model.gmm.loglik_history
         else:
             cfg = MlpConfig(
-                epochs=int(opts["epochs"]),
-                batch_size=batch,
-                learning_rate=float(opts["learning_rate"]),
+                epochs=_value(opts, "epochs", int),
+                batch_size=_value(opts, "batch_size", int),
+                learning_rate=_value(opts, "learning_rate", float),
                 seed=args.seed,
             )
+            if len(pairs) < cfg.batch_size:
+                _progress(f"only {len(pairs)} training pairs (need {cfg.batch_size}); {skipped} skipped")
+                return EXIT_USAGE
             model = train_mlp(pairs, cfg)
             history = model.mlp.loss_history
+    except ModelError as exc:
+        _progress(f"cannot train on {len(pairs)} pairs: {exc}")
+        return EXIT_USAGE
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         _progress(f"training failed numerically: {exc}")
         return EXIT_NUMERIC
@@ -151,16 +172,24 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _make_predictor(args, cfg: ExtensionConfig, ref: AudioBuffer | None, lpf, hpf):
-    if cfg.mode == "oracle":
-        if ref is None:
-            raise FileNotFoundError("oracle mode needs the wideband pair")
-        return OracleSource(ref, lpf, hpf)
-    if cfg.mode == "fold" or cfg.nb_only:
+def _load_regressor(args, cfg: ExtensionConfig):
+    """The model that regressor mode reads, loaded once per command; None in
+    the modes that read none."""
+    if cfg.mode != "regressor" or cfg.nb_only:
         return None
     if not args.model:
         raise FileNotFoundError("regressor mode needs --model")
     return load_model(args.model)
+
+
+def _file_predictor(cfg: ExtensionConfig, model, ref: AudioBuffer | None, lpf, hpf):
+    """What `extend_file` reads for one file: in oracle mode the filters
+    synthesized from its wideband pair, else the loaded model."""
+    if cfg.mode != "oracle":
+        return model
+    if ref is None:
+        raise FileNotFoundError("oracle mode needs the wideband pair")
+    return OracleSource(ref, lpf, hpf)
 
 
 def cmd_extend(args) -> int:
@@ -172,17 +201,12 @@ def cmd_extend(args) -> int:
     if not Path(args.nb_wav).exists():
         _progress(f"missing input: {args.nb_wav}")
         return EXIT_MISSING
-    if args.model and not Path(args.model).exists():
-        _progress(f"missing model: {args.model}")
-        return EXIT_MISSING
     try:
+        model = _load_regressor(args, cfg)
         nb = read_wav_at(args.nb_wav, 8000)
         ref = read_wav_at(args.oracle, 16000) if args.oracle else None
-        predictor = _make_predictor(args, cfg, ref, lpf, hpf)
+        predictor = _file_predictor(cfg, model, ref, lpf, hpf)
         out = extend_file(nb, predictor, cfg, lpf, hpf)
-    except FileNotFoundError as exc:
-        _progress(str(exc))
-        return EXIT_MISSING
     except (AudioError, PipelineError) as exc:
         _progress(f"bad input: {exc}")
         return EXIT_USAGE
@@ -202,27 +226,30 @@ _COMPARE_CONFIGS = [
 ]
 
 
-def _run_eval(args, cfg: ExtensionConfig, lpf, hpf, oracle_cache=None):
-    model = None
-    if cfg.mode == "regressor" and not cfg.nb_only:
-        if not args.model or not Path(args.model).exists():
-            raise FileNotFoundError(args.model or "--model")
-        model = load_model(args.model)
-
-    def extender(nb, ref):
-        if cfg.mode == "oracle":
-            # the filters do not depend on the addition/gain settings, so a
-            # comparison run shares them across configurations
-            cache = oracle_cache if oracle_cache is not None else {}
-            key = (ref.rate, ref.samples.tobytes())  # exact content, no hash collision
-            if key not in cache:
-                cache[key] = OracleSource(ref, lpf, hpf)
-            predictor = cache[key]
+def _evaluate(entries, configs, model, lpf, hpf):
+    """One pass over the manifest: each file is read, its predictor built and
+    its estimate measured under every configuration (all of one mode) before
+    the next file is read.  Missing files are listed and skipped; a file at
+    the wrong sample rate raises an AudioError that names it."""
+    records: list[dict] = [{} for _ in configs]
+    missing: list[str] = []
+    for ref_path, nb_path, _tag in entries:
+        if not Path(ref_path).exists():
+            missing.append(ref_path)
+            continue
+        ref = read_wav_at(ref_path, 16000)
+        if nb_path and nb_path != "-":
+            if not Path(nb_path).exists():
+                missing.append(nb_path)
+                continue
+            nb = read_wav_at(nb_path, 8000)
         else:
-            predictor = model
-        return extend_file(nb, predictor, cfg, lpf, hpf)
-
-    return evaluate_corpus(args.manifest, extender, lambda ref: narrowband_of(ref, lpf))
+            nb = narrowband_of(ref, lpf)
+        predictor = _file_predictor(configs[0], model, ref, lpf, hpf)
+        for cfg, by_file in zip(configs, records):
+            by_file[ref_path] = measure(ref, extend_file(nb, predictor, cfg, lpf, hpf))
+        del predictor  # release this file's filters before the next file's are built
+    return records, missing
 
 
 def cmd_evaluate(args) -> int:
@@ -238,42 +265,37 @@ def cmd_evaluate(args) -> int:
         _progress("empty manifest")
         return EXIT_USAGE
     opts = _resolve(args, dict(_EXT_DEFAULTS))
+    if args.compare:
+        configs = [_ext_config({**opts, "mode": "oracle", **over}) for _, over in _COMPARE_CONFIGS]
+    else:
+        configs = [_ext_config(opts)]
     lpf, hpf = design_fixed_filters()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        if args.compare:
-            block = []
-            oracle_cache: dict = {}
-            for name, over in _COMPARE_CONFIGS:
-                cfg = _ext_config({**opts, "mode": "oracle", **over})
-                records, missing = _run_eval(args, cfg, lpf, hpf, oracle_cache)
-                if not records:
-                    _progress("no files evaluated")
-                    return EXIT_MISSING
-                mean_lsd = float(np.mean([r.lsd for r in records.values()]))
-                block.append(f"{name}\tlsd={mean_lsd:.6f}")
-                write_report(out_dir / f"report_{name}.txt", records, missing)
-                _progress(f"config {name}: mean lsd {mean_lsd:.3f} dB")
-            (out_dir / "comparison.txt").write_text("\n".join(block) + "\n")
-            return EXIT_OK
-        cfg = _ext_config(opts)
-        records, missing = _run_eval(args, cfg, lpf, hpf)
-    except FileNotFoundError as exc:
-        _progress(f"missing resource: {exc}")
-        return EXIT_MISSING
+        model = _load_regressor(args, configs[0])
+        records, missing = _evaluate(entries, configs, model, lpf, hpf)
     except AudioError as exc:
         _progress(f"bad input: {exc}")
         return EXIT_USAGE
     except (MetricsError, ModelError, np.linalg.LinAlgError) as exc:
         _progress(f"evaluation failed: {exc}")
         return EXIT_NUMERIC
-    if not records:
+    if not records[0]:
         _progress("no files evaluated")
         return EXIT_MISSING
-    write_report(out_dir / "report.txt", records, missing)
-    write_frame_csv(out_dir / "frames.csv", records)
-    _progress(f"evaluated {len(records)} files ({len(missing)} missing)")
+    if not args.compare:
+        write_report(out_dir / "report.txt", records[0], missing)
+        write_frame_csv(out_dir / "frames.csv", records[0])
+        _progress(f"evaluated {len(records[0])} files ({len(missing)} missing)")
+        return EXIT_OK
+    block = []
+    for (name, _), by_file in zip(_COMPARE_CONFIGS, records):
+        mean_lsd = float(np.mean([r.lsd for r in by_file.values()]))
+        block.append(f"{name}\tlsd={mean_lsd:.6f}")
+        write_report(out_dir / f"report_{name}.txt", by_file, missing)
+        _progress(f"config {name}: mean lsd {mean_lsd:.3f} dB")
+    (out_dir / "comparison.txt").write_text("\n".join(block) + "\n")
     return EXIT_OK
 
 
@@ -323,6 +345,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except ConfigError as exc:
+        _progress(f"bad setting: {exc}")
+        return EXIT_USAGE
     except FileNotFoundError as exc:
         _progress(f"missing resource: {exc}")
         return EXIT_MISSING

@@ -1,4 +1,4 @@
-"""Objective quality measures and corpus evaluation.
+"""Objective quality measures, the corpus manifest and the evaluation reports.
 
 Both measures work on 25 ms frames with 50% overlap at the reference rate.
 LSD compares log power spectra over the full band; segmental SNR is clamped
@@ -123,37 +123,6 @@ def read_manifest(path) -> list[tuple[str, str, str]]:
         tag = parts[2] if len(parts) > 2 else ""
         entries.append((ref, nb, tag))
     return entries
-
-
-def evaluate_corpus(manifest_path, extender, derive_nb):
-    """Run the extender over each manifest entry and measure against the
-    wideband reference.
-
-    `extender(nb, ref)` maps an 8 kHz buffer (and its reference, used only by
-    direct-use modes) to a 16 kHz estimate; `derive_nb(ref)` supplies the
-    narrowband signal when the manifest has none.  Missing files are skipped
-    and reported, they do not abort the run; a file at the wrong sample rate
-    raises an AudioError that names it.
-    """
-    from .audio import read_wav_at
-
-    records: dict[str, MetricsRecord] = {}
-    missing: list[str] = []
-    for ref_path, nb_path, _tag in read_manifest(manifest_path):
-        if not Path(ref_path).exists():
-            missing.append(ref_path)
-            continue
-        ref = read_wav_at(ref_path, 16000)
-        if nb_path and nb_path != "-":
-            if not Path(nb_path).exists():
-                missing.append(nb_path)
-                continue
-            nb = read_wav_at(nb_path, 8000)
-        else:
-            nb = derive_nb(ref)
-        est = extender(nb, ref)
-        records[ref_path] = measure(ref, est)
-    return records, missing
 
 
 def write_report(path, records: dict[str, MetricsRecord], missing: list[str]) -> None:

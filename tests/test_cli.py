@@ -1,18 +1,18 @@
 """Command-line interface: exit codes, config resolution, light workflows."""
 
-import builtins
 import wave
-from types import SimpleNamespace
+import weakref
 
 import numpy as np
 import pytest
 
 from sdabe.audio import AudioBuffer, frame_signal, read_wav, write_wav
-from sdabe.cli import (EXIT_MISSING, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _load_config, _run_eval,
+import sdabe.cli as cli
+from sdabe.cli import (EXIT_MISSING, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _ext_config, _load_config,
                        build_parser, collect_pairs, main)
 from sdabe.filters import design_fixed_filters
 from sdabe.metrics import read_manifest
-from sdabe.pipeline import ExtensionConfig, OracleSource
+from sdabe.pipeline import OracleSource
 
 
 def test_no_command_prints_usage():
@@ -261,16 +261,99 @@ def test_unsupported_wav_format_is_usage_error(tmp_path, channels, sampwidth):
     assert main(["train", str(manifest), str(tmp_path / "m.json")]) == EXIT_USAGE
 
 
-def test_oracle_cache_keyed_by_content(tmp_path, monkeypatch):
-    out_dir = tmp_path / "corpus"
-    main(["synth-corpus", str(out_dir), "--n-files", "2", "--duration", "0.025"])
-    # colliding hashes must not make two files share one set of filters
-    monkeypatch.setattr(builtins, "hash", lambda obj: 0)
-    lpf, hpf = design_fixed_filters()
-    cache = {}
-    args = SimpleNamespace(manifest=out_dir / "manifest.tsv", model=None)
-    records, _ = _run_eval(args, ExtensionConfig(mode="oracle"), lpf, hpf, cache)
-    assert len(records) == 2
-    assert len(cache) == 2
-    _run_eval(args, ExtensionConfig(mode="oracle", addition="time"), lpf, hpf, cache)
-    assert len(cache) == 2
+@pytest.fixture(scope="module")
+def six_pair_manifest(tmp_path_factory):
+    out = tmp_path_factory.mktemp("six_pairs") / "corpus"
+    main(["synth-corpus", str(out), "--n-files", "2", "--duration", "0.05"])
+    return out / "manifest.tsv"
+
+
+def test_train_gmm_is_not_gated_on_the_mlp_batch_size(six_pair_manifest, tmp_path):
+    model = tmp_path / "g.json"
+    # six pairs, far below the MLP's default batch of 180
+    assert main(["train", str(six_pair_manifest), str(model), "--gmm", "2"]) == EXIT_OK
+    assert model.exists()
+
+
+@pytest.mark.parametrize(
+    "extra", [["--gmm", "50", "--batch-size", "2"], ["--gmm", "-1"]],
+    ids=["more-components-than-pairs", "negative-components"],
+)
+def test_train_gmm_model_error_is_usage_error(six_pair_manifest, tmp_path, capsys, extra):
+    model = tmp_path / "g.json"
+    assert main(["train", str(six_pair_manifest), str(model), *extra]) == EXIT_USAGE
+    assert "components" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, command",
+    [("n_files", "abc", "synth-corpus"), ("duration", "0.1s", "synth-corpus"),
+     ("mode", "bogus", "extend"), ("mode", "bogus", "evaluate"),
+     ("gain_adjust", "nope", "extend"), ("nb_only", "maybe", "evaluate")],
+)
+def test_bad_config_value_is_usage_error(tmp_path, capsys, key, value, command):
+    cfg = tmp_path / "sdabe.ini"
+    cfg.write_text(f"[sdabe]\n{key} = {value}\n")
+    nb = tmp_path / "nb.wav"
+    write_wav(nb, AudioBuffer(np.zeros(800), 8000))
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{tmp_path / 'wb.wav'}\t-\tt\n")
+    fold = [] if key == "mode" else ["--mode", "fold"]
+    argv = {
+        "synth-corpus": ["synth-corpus", str(tmp_path / "corpus")],
+        "extend": ["extend", str(nb), str(tmp_path / "out.wav"), *fold],
+        "evaluate": ["evaluate", str(manifest), str(tmp_path / "res"), *fold],
+    }[command]
+    assert main(["--config", str(cfg), *argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert key in err and value in err
+    assert not (tmp_path / "out.wav").exists()
+
+
+def test_config_booleans_use_configparser_words():
+    base = {"mode": "fold", "filter_form": "fir21", "addition": "dft"}
+    for words, value in [(("1", "yes", "true", "on", "On"), True),
+                         (("0", "no", "false", "off", "OFF"), False)]:
+        for word in words:
+            cfg = _ext_config({**base, "gain_adjust": word, "nb_only": word})
+            assert (cfg.gain_adjust, cfg.nb_only) == (value, value), word
+
+
+COMPARE_FLAGS = {
+    "dft_gain": ["--addition", "dft", "--gain-adjust", "true", "--nb-only", "false"],
+    "time_gain": ["--addition", "time", "--gain-adjust", "true", "--nb-only", "false"],
+    "time_nogain": ["--addition", "time", "--gain-adjust", "false", "--nb-only", "false"],
+    "nb_only": ["--nb-only", "true"],
+}
+
+
+def test_evaluate_compare_matches_separate_oracle_runs(tmp_path):
+    corpus = tmp_path / "corpus"
+    main(["synth-corpus", str(corpus), "--n-files", "3", "--duration", "0.05"])
+    manifest = str(corpus / "manifest.tsv")
+    res = tmp_path / "compare"
+    assert main(["evaluate", manifest, str(res), "--compare"]) == EXIT_OK
+    for name, flags in COMPARE_FLAGS.items():
+        single = tmp_path / name
+        assert main(["evaluate", manifest, str(single), "--mode", "oracle", *flags]) == EXIT_OK
+        assert (res / f"report_{name}.txt").read_bytes() == (single / "report.txt").read_bytes()
+    rows = (res / "comparison.txt").read_text().splitlines()
+    assert [row.split("\t")[0] for row in rows] == list(COMPARE_FLAGS)
+
+
+def test_evaluate_compare_holds_one_file_of_filters(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    main(["synth-corpus", str(corpus), "--n-files", "3", "--duration", "0.025"])
+    sources, alive_at_build = [], []
+
+    class TrackedSource(OracleSource):
+        def __init__(self, *args):
+            alive_at_build.append(sum(ref() is not None for ref in sources))
+            super().__init__(*args)
+            sources.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "OracleSource", TrackedSource)
+    assert main(["evaluate", str(corpus / "manifest.tsv"), str(tmp_path / "res"), "--compare"]) == EXIT_OK
+    # one source per file, and no earlier file's filters alive when the next are built
+    assert alive_at_build == [0, 0, 0]
