@@ -182,13 +182,17 @@ def _load_regressor(args, cfg: ExtensionConfig):
     return load_model(args.model)
 
 
-def _file_predictor(cfg: ExtensionConfig, model, ref: AudioBuffer | None, lpf, hpf):
-    """What `extend_file` reads for one file: in oracle mode the filters
-    synthesized from its wideband pair, else the loaded model."""
-    if cfg.mode != "oracle":
+def _file_predictor(configs, model, ref: AudioBuffer | None, lpf, hpf):
+    """What `extend_file` reads for one file under `configs` (all of one
+    mode): in oracle mode the filters synthesized from its wideband pair, or
+    None if every configuration is narrowband-only and reads none; else the
+    loaded model."""
+    if configs[0].mode != "oracle":
         return model
     if ref is None:
         raise FileNotFoundError("oracle mode needs the wideband pair")
+    if all(cfg.nb_only for cfg in configs):
+        return None
     return OracleSource(ref, lpf, hpf)
 
 
@@ -205,7 +209,7 @@ def cmd_extend(args) -> int:
         model = _load_regressor(args, cfg)
         nb = read_wav_at(args.nb_wav, 8000)
         ref = read_wav_at(args.oracle, 16000) if args.oracle else None
-        predictor = _file_predictor(cfg, model, ref, lpf, hpf)
+        predictor = _file_predictor([cfg], model, ref, lpf, hpf)
         out = extend_file(nb, predictor, cfg, lpf, hpf)
     except (AudioError, PipelineError) as exc:
         _progress(f"bad input: {exc}")
@@ -245,7 +249,7 @@ def _evaluate(entries, configs, model, lpf, hpf):
             nb = read_wav_at(nb_path, 8000)
         else:
             nb = narrowband_of(ref, lpf)
-        predictor = _file_predictor(configs[0], model, ref, lpf, hpf)
+        predictor = _file_predictor(configs, model, ref, lpf, hpf)
         for cfg, by_file in zip(configs, records):
             by_file[ref_path] = measure(ref, extend_file(nb, predictor, cfg, lpf, hpf))
         del predictor  # release this file's filters before the next file's are built

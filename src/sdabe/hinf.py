@@ -4,7 +4,10 @@ The norm test uses the bounded-real characterization: gamma exceeds the norm
 iff the associated extended symplectic pencil has no unit-circle eigenvalues.
 Synthesis exploits the estimation structure of the plant (the control enters
 the error as e = z - u), which reduces the problem to worst-case filtering
-solvable with a single indefinite Riccati equation per gamma.
+solvable with a single indefinite Riccati equation per gamma.  The same
+structure gives a lower bound on the level any filter reaches (exogenous
+directions the measurement cannot see pass to the error untouched), and
+bisection levels below it are refused without a Riccati solve.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ _NORM_GRID = 128  # frequency grid seeding the level-set iteration of hinf_norm
 _FFT_NORM_LEN = 2048  # impulse-response length of the fast closed-loop norm estimate
 _REG = 1e-6  # measurement-noise regularization making the filtering problem regular
 _REL_TOL = 1e-3  # bisection stops when the gamma bracket is this fraction of the open-loop level
+_LB_GRID = 128  # estimation lower bound bins pi j / _LB_GRID; divides _FFT_NORM_LEN / 2
 
 
 class HinfError(RuntimeError):
@@ -95,12 +99,55 @@ def _grid_peak(g: StateSpaceModel, w: np.ndarray) -> tuple[float, float]:
     return float(sv[i]), float(w[i])
 
 
+def _sigma_max(H: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (k, m, p).
+
+    When the smaller side is at most 2 (every closed loop this package
+    builds), sigma_max^2 is the larger eigenvalue of that side's Gram matrix
+    [[a, b], [b*, d]], in closed form (a + d)/2 + hypot((a - d)/2, |b|): a sum
+    of nonnegative terms, so nothing cancels and no square root sees a
+    negative argument.  Otherwise the batched SVD norm.
+    """
+    if min(H.shape[1:]) > 2:
+        return np.linalg.norm(H, ord=2, axis=(1, 2))
+    if H.shape[1] < H.shape[2]:
+        H = H.transpose(0, 2, 1)  # the columns are now the smaller side
+    a = np.sum(H[:, :, 0].real ** 2 + H[:, :, 0].imag ** 2, axis=1)
+    if H.shape[2] == 1:
+        return np.sqrt(a)
+    d = np.sum(H[:, :, 1].real ** 2 + H[:, :, 1].imag ** 2, axis=1)
+    b = np.abs(np.sum(H[:, :, 0].conj() * H[:, :, 1], axis=1))
+    return np.sqrt(0.5 * (a + d) + np.hypot(0.5 * (a - d), b))
+
+
 def _fft_peak(g: StateSpaceModel) -> float:
     """Fast norm estimate from the DFT of the truncated impulse response."""
     h = g.impulse_response_all(_FFT_NORM_LEN)
     H = np.fft.rfft(h, axis=0)
-    sv = np.linalg.norm(H, ord=2, axis=(1, 2))
-    return float(np.max(sv))
+    return float(np.max(_sigma_max(H)))
+
+
+def _estimation_lower_bound(plant) -> float:
+    """Lower bound on the closed-loop norm of every filter, causal or not.
+
+    At each frequency, an exogenous direction v in the null space of the
+    measurement response Gy never reaches the filter: (Gz - K Gy) v = Gz v.
+    So sigma_max(Gz P) bounds |T|, with P the projector on that null space,
+    for any K.  Evaluated on the bins pi j / _LB_GRID, j = 0.._LB_GRID, which
+    are also bins of `_fft_peak`'s rfft; 0 when Gy has no null space.
+    """
+    nz, ny = plant.n_z, plant.n_y
+    nw = plant.B.shape[1]
+    if nw <= ny:
+        return 0.0
+    g = StateSpaceModel(
+        plant.A, plant.B, np.vstack([plant.C1, plant.C2]), np.vstack([plant.D11, plant.D21])
+    )
+    resp = g.freq_response(np.pi * np.arange(_LB_GRID + 1) / _LB_GRID)
+    _, _, Vh = np.linalg.svd(resp[:, nz:], full_matrices=True)
+    # the last nw - ny right singular vectors span (a subspace of) null(Gy)
+    null = Vh[:, ny:].conj().transpose(0, 2, 1)
+    return float(np.max(_sigma_max(resp[:, :nz] @ null)))
 
 
 def hinf_norm(g: StateSpaceModel, tol: float = 1e-8) -> float:
@@ -143,6 +190,8 @@ class HinfSolution:
     truncated-FFT estimate of the closed-loop norm (or the open-loop norm for
     the zero controller).  The estimate is a lower bound on the achieved
     norm, so gamma is not a certificate: the achieved norm can exceed it.
+    `iterations` counts bisection steps, including the levels refused below
+    the estimation lower bound without a Riccati solve.
     """
 
     controller: StateSpaceModel
@@ -196,6 +245,15 @@ def hinf_synthesize(plant) -> HinfSolution:
     loop is within _REL_TOL of it; the returned gamma is the smallest accepted
     level (or that estimate, if lower), which bounds the achieved norm from
     below rather than certifying it.
+
+    Levels below LB / (1 + 2 _REL_TOL), with LB the estimation lower bound,
+    are refused without a Riccati solve.  LB bounds |T(w)| for every filter
+    at bins the FFT screen also evaluates, so at such a level any central
+    filter the Riccati test passed would show a screen estimate above
+    (1 + _REL_TOL) times the level, short of a truncation error of about
+    _REL_TOL * LB, and be refused there too.  The level sequence is the
+    same with or without the skip; a result can differ only where a level
+    provably below the optimum would have been accepted.
     """
     from .plant import closed_loop, open_loop_error  # local import, no cycle at module load
 
@@ -211,11 +269,16 @@ def hinf_synthesize(plant) -> HinfSolution:
         np.zeros((plant.C1.shape[0], ny)),
     )
     best_ctrl, best_gamma = zero_ctrl, gamma_hi
+    # below this level the screen refuses every filter (see the docstring)
+    refused_below = _estimation_lower_bound(plant) / (1.0 + 2.0 * _REL_TOL)
     lo, hi = 0.0, gamma_hi
     iters = 0
     while hi - lo > _REL_TOL * max(gamma_hi, 1e-12) and iters < 60:
         iters += 1
         mid = 0.5 * (lo + hi)
+        if mid < refused_below:
+            lo = mid
+            continue
         ctrl = _feasible(plant, mid)
         if ctrl is None:
             lo = mid

@@ -120,16 +120,21 @@ class StateSpaceModel:
         if not self.n:
             out[:] = self.D
             return out
-        z = np.exp(1j * w)[:, None, None]
-        I = np.eye(self.n)
+        n = self.n
+        z = np.exp(1j * w)
         # batched solves of (zI - A) X = B over blocks of about 1 MiB: freeing
         # one larger temporary lifts glibc's mmap threshold for the rest of the
         # process, and a single 128-frequency block of a 35-state system raised
         # the peak RSS of a train-then-evaluate run by about 20 MB
-        k = max(1, _SOLVE_BLOCK_ENTRIES // self.n**2)
+        k = max(1, _SOLVE_BLOCK_ENTRIES // n**2)
         for s in range(0, len(w), k):
-            zI_A = z[s : s + k] * I - self.A
-            B = np.broadcast_to(self.B, (len(zI_A), self.n, self.p))
+            zb = z[s : s + k]
+            # -A with z added on the diagonal: the entries of z * I - A, bit
+            # for bit, without the broadcast multiply
+            zI_A = np.empty((len(zb), n, n), dtype=complex)
+            zI_A[:] = -self.A
+            zI_A.reshape(len(zb), n * n)[:, :: n + 1] += zb[:, None]
+            B = np.broadcast_to(self.B, (len(zb), n, self.p))
             out[s : s + k] = self.D + self.C @ np.linalg.solve(zI_A, B)
         return out
 

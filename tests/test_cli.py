@@ -8,6 +8,7 @@ import pytest
 
 from sdabe.audio import AudioBuffer, frame_signal, read_wav, write_wav
 import sdabe.cli as cli
+import sdabe.pipeline as pipeline
 from sdabe.cli import (EXIT_MISSING, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _ext_config, _load_config,
                        build_parser, collect_pairs, main)
 from sdabe.filters import design_fixed_filters
@@ -357,3 +358,27 @@ def test_evaluate_compare_holds_one_file_of_filters(tmp_path, monkeypatch):
     assert main(["evaluate", str(corpus / "manifest.tsv"), str(tmp_path / "res"), "--compare"]) == EXIT_OK
     # one source per file, and no earlier file's filters alive when the next are built
     assert alive_at_build == [0, 0, 0]
+
+
+def test_oracle_nb_only_synthesizes_nothing(tmp_path, monkeypatch):
+    # nb_only never reads the filters, so oracle mode builds no source for
+    # it, while --compare still builds one for its other configurations
+    corpus = tmp_path / "corpus"
+    main(["synth-corpus", str(corpus), "--n-files", "2", "--duration", "0.05"])
+    manifest = str(corpus / "manifest.tsv")
+    ref, nb, _ = read_manifest(manifest)[0]
+    calls = []
+    synthesize = pipeline.extract_feature_pair
+    monkeypatch.setattr(pipeline, "extract_feature_pair", lambda *a: calls.append(a) or synthesize(*a))
+    nb_only = ["--nb-only", "true"]
+    assert main(["evaluate", manifest, str(tmp_path / "oracle"), "--mode", "oracle", *nb_only]) == EXIT_OK
+    assert main(["extend", nb, str(tmp_path / "out.wav"), "--oracle", ref, *nb_only]) == EXIT_OK
+    assert calls == []
+    assert main(["evaluate", manifest, str(tmp_path / "fold"), "--mode", "fold", *nb_only]) == EXIT_OK
+    report = (tmp_path / "oracle" / "report.txt").read_bytes()
+    assert report == (tmp_path / "fold" / "report.txt").read_bytes()
+    # the wideband pair is still required
+    out = tmp_path / "none.wav"
+    assert main(["extend", nb, str(out), "--mode", "oracle", *nb_only]) == EXIT_MISSING
+    assert main(["evaluate", manifest, str(tmp_path / "compare"), "--compare"]) == EXIT_OK
+    assert calls

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import sdabe.hinf as hinf
 from conftest import random_stable_ss
-from sdabe.hinf import HinfError, hinf_norm, hinf_synthesize, solve_dare
-from sdabe.plant import GeneralizedPlant, closed_loop, open_loop_error
+from sdabe.audio import frame_signal
+from sdabe.corpus import synth_utterance
+from sdabe.hinf import (HinfError, _estimation_lower_bound, _sigma_max, hinf_norm, hinf_synthesize,
+                        solve_dare)
+from sdabe.plant import GeneralizedPlant, build_generalized_plant, closed_loop, open_loop_error
 from sdabe.statespace import StateSpaceModel, tf_to_ss
+from sdabe.sysid import prony_fit
 
 
 def test_norm_of_first_order_lag():
@@ -73,22 +78,16 @@ def test_synthesis_never_beats_physics(rng):
         assert hinf_norm(cl) <= sol.gamma * 1.001 + 1e-9
 
 
-def test_synthesis_reaches_zero_for_measurable_target(rng):
-    # y == z: the filter can read the target directly, so the error
-    # can be made essentially zero
-    g = random_stable_ss(rng, 3)
-    plant = GeneralizedPlant(
-        A=g.A, B=g.B, C1=g.C, D11=g.D, C2=g.C, D21=g.D
-    )
-    sol = hinf_synthesize(plant)
-    open_norm = hinf_norm(open_loop_error(plant))
-    assert sol.gamma < 0.05 * open_norm
+def _measurable_target_plant(rng, inputs=1):
+    # y == z: the filter can read the target directly
+    g = random_stable_ss(rng, 3, inputs=inputs)
+    return GeneralizedPlant(A=g.A, B=g.B, C1=g.C, D11=g.D, C2=g.C, D21=g.D)
 
 
-def test_zero_controller_for_useless_measurement(rng):
-    # y is pure noise, uncorrelated with z: best filter is K = 0
+def _useless_measurement_plant(rng):
+    # y is pure noise, uncorrelated with z
     g = random_stable_ss(rng, 2)
-    plant = GeneralizedPlant(
+    return GeneralizedPlant(
         A=g.A,
         B=np.hstack([g.B, np.zeros((2, 1))]),
         C1=g.C,
@@ -96,9 +95,119 @@ def test_zero_controller_for_useless_measurement(rng):
         C2=np.zeros((1, 2)),
         D21=np.array([[0.0, 1.0]]),
     )
+
+
+def test_synthesis_reaches_zero_for_measurable_target(rng):
+    # the error can be made essentially zero
+    plant = _measurable_target_plant(rng)
+    sol = hinf_synthesize(plant)
+    open_norm = hinf_norm(open_loop_error(plant))
+    assert sol.gamma < 0.05 * open_norm
+
+
+def test_zero_controller_for_useless_measurement(rng):
+    # best filter is K = 0
+    plant = _useless_measurement_plant(rng)
     sol = hinf_synthesize(plant)
     open_norm = hinf_norm(open_loop_error(plant))
     assert sol.gamma >= open_norm * (1.0 - 2e-3)
+
+
+@pytest.fixture(scope="module")
+def utterance_plants():
+    """Plants of the frames of synth_utterance seed 3 with a usable signal model."""
+    from sdabe.filters import design_fixed_filters
+
+    lpf, _ = design_fixed_filters()
+    models = [prony_fit(fr) for fr in frame_signal(synth_utterance(np.random.default_rng(3)))]
+    return [build_generalized_plant(m, lpf) for m in models if not m.degenerate]
+
+
+def _assert_lower_bound_sound(plant):
+    lb = _estimation_lower_bound(plant)
+    sol = hinf_synthesize(plant)
+    assert 0.0 <= lb <= hinf_norm(open_loop_error(plant)) * (1.0 + 1e-12)
+    assert lb <= hinf_norm(closed_loop(plant, sol.controller)) * (1.0 + 1e-12)
+    return lb
+
+
+def test_estimation_lower_bound_is_sound(rng, utterance_plants):
+    # criterion-1-style plants, with one (n_w = 2) and two (n_w = 3)
+    # exogenous directions the measurement cannot see at each frequency
+    for inputs in (2, 2, 2, 3, 3, 3):
+        sys = random_stable_ss(rng, int(rng.integers(2, 7)), inputs=inputs, outputs=2)
+        plant = GeneralizedPlant(
+            A=sys.A, B=sys.B, C1=sys.C[:1], D11=0.2 * rng.standard_normal((1, inputs)),
+            C2=sys.C[1:], D21=0.2 * rng.standard_normal((1, inputs)),
+        )
+        assert _assert_lower_bound_sound(plant) > 0.0
+    for plant in utterance_plants[:4]:
+        assert _assert_lower_bound_sound(plant) > 0.0
+
+
+def test_estimation_lower_bound_of_measurable_target_is_zero(rng):
+    plant = _measurable_target_plant(rng, inputs=3)
+    open_norm = hinf_norm(open_loop_error(plant))
+    assert _estimation_lower_bound(plant) <= 1e-12 * open_norm
+
+
+def test_estimation_lower_bound_of_useless_measurement_is_open_loop_peak(rng):
+    # the measurement sees only the noise input, so the signal input is
+    # invisible to every filter and the bound is the open-loop peak on the grid
+    plant = _useless_measurement_plant(rng)
+    w = np.pi * np.arange(hinf._LB_GRID + 1) / hinf._LB_GRID
+    peak = np.max(np.linalg.norm(open_loop_error(plant).freq_response(w), 2, axis=(1, 2)))
+    assert _estimation_lower_bound(plant) == pytest.approx(peak, rel=1e-12)
+
+
+def test_skipping_levels_below_the_bound_changes_nothing(utterance_plants, monkeypatch):
+    calls = {"dare": 0}
+
+    def counted_dare(*args):
+        calls["dare"] += 1
+        return solve_dare(*args)
+
+    monkeypatch.setattr(hinf, "solve_dare", counted_dare)
+    solutions, dares = {}, {}
+    for name in ("skip", "solve_all"):
+        if name == "solve_all":
+            monkeypatch.setattr(hinf, "_estimation_lower_bound", lambda plant: 0.0)
+        calls["dare"] = 0
+        solutions[name] = [hinf_synthesize(plant) for plant in utterance_plants]
+        dares[name] = calls["dare"]
+    for got, ref in zip(solutions["skip"], solutions["solve_all"]):
+        assert got.gamma == ref.gamma and got.iterations == ref.iterations
+        for attr in "ABCD":
+            assert np.array_equal(getattr(got.controller, attr), getattr(ref.controller, attr))
+    assert dares["skip"] < dares["solve_all"]
+
+
+def _sigma_max_cases(rng, shape):
+    cases = [rng.standard_normal((64,) + shape) + 1j * rng.standard_normal((64,) + shape),
+             np.zeros((2,) + shape, dtype=complex)]
+    u = rng.standard_normal((8, shape[0], 1)) + 1j * rng.standard_normal((8, shape[0], 1))
+    v = rng.standard_normal((8, 1, shape[1])) + 1j * rng.standard_normal((8, 1, shape[1]))
+    cases.append(u @ v)  # rank one
+    if shape == (2, 2):
+        # equal singular values: scaled unitary matrices, then a scaled identity
+        q = np.linalg.qr(rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2)))[0]
+        cases.append(q * rng.uniform(0.1, 10.0, (8, 1, 1)))
+        cases.append(np.broadcast_to(3.0 * np.eye(2), (2, 2, 2)).astype(complex))
+    return np.concatenate(cases)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2), (2, 1)])
+def test_sigma_max_closed_form_matches_svd_norm(rng, shape):
+    H = _sigma_max_cases(rng, shape)
+    ref = np.linalg.norm(H, 2, axis=(1, 2))
+    got = _sigma_max(H)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+def test_sigma_max_falls_back_to_svd_norm_beyond_2x2(rng):
+    H = rng.standard_normal((16, 3, 4)) + 1j * rng.standard_normal((16, 3, 4))
+    assert np.array_equal(_sigma_max(H), np.linalg.norm(H, 2, axis=(1, 2)))
 
 
 def test_failed_pencil_reordering_rejects_the_level(rng, monkeypatch):
