@@ -214,7 +214,7 @@ def cmd_extend(args) -> int:
     except (AudioError, PipelineError) as exc:
         _progress(f"bad input: {exc}")
         return EXIT_USAGE
-    except (ModelError, ValueError) as exc:
+    except (ModelError, ValueError, FloatingPointError) as exc:
         _progress(f"extension failed: {exc}")
         return EXIT_NUMERIC
     write_wav(args.out_wav, out)
@@ -282,7 +282,7 @@ def cmd_evaluate(args) -> int:
     except AudioError as exc:
         _progress(f"bad input: {exc}")
         return EXIT_USAGE
-    except (MetricsError, ModelError, np.linalg.LinAlgError) as exc:
+    except (MetricsError, ModelError, np.linalg.LinAlgError, FloatingPointError) as exc:
         _progress(f"evaluation failed: {exc}")
         return EXIT_NUMERIC
     if not records[0]:

@@ -129,7 +129,8 @@ def extract_feature_pair(wb_frame: Frame, lpf: FirFilter, hpf: FirFilter):
     # the controller reads the narrowband signal; the filter reads its LPC
     # residue, so it first undoes the (minimum-phase) inverse filter
     lpc_synthesis = tf_to_ss([1.0], a_lpc.inverse_poly())
-    k = assemble_synthesis_filter(series(lpc_synthesis, sol.controller))
-    synth = extract_highband_filter(k, hpf)
+    hk = assemble_synthesis_filter(series(lpc_synthesis, sol.controller))
+    synth = extract_highband_filter(hk, hpf)
     g1 = gain_g1(hb_sig, nb_frame.samples)
-    return FeaturePair(nb=a_lpc.coeffs, hb=synth.fir21, g1=g1), synth
+    # a copy, so that a training pair does not keep the whole response alive
+    return FeaturePair(nb=a_lpc.coeffs, hb=synth.fir21.copy(), g1=g1), synth

@@ -1,7 +1,10 @@
-"""De-lift the synthesized controller into the scalar 16 kHz reconstruction
-filter k, follow it with the fixed high-pass taps (convolved onto k's impulse
-response or output), and truncate the combined impulse response to the 21-tap
-FIR feature."""
+"""The per-frame high-band filter: the de-lifted synthesis filter k followed by
+the fixed high-pass, held as the first TRUNCATION_SPAN samples of its impulse
+response, and the 21-tap truncation of that response (the FIR feature).
+
+An upsampled narrowband frame has fewer than TRUNCATION_SPAN samples, so from
+the zero state k and the high-pass act on it exactly as the causal FIR of
+those samples: no state-space realization of k is needed."""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import FirFilter
-from .statespace import StateSpaceModel, expand_z2
+from .statespace import StateSpaceModel
 
 FIR_FEATURE_LEN = 21
 TRUNCATION_SPAN = 512
@@ -22,58 +25,41 @@ class HbFilterError(ValueError):
 
 @dataclass(frozen=True)
 class SynthesisFilter:
-    """De-lifted filter k followed by the high-pass, and its truncation."""
+    """First TRUNCATION_SPAN impulse-response samples h of k followed by the
+    high-pass."""
 
-    k: StateSpaceModel
-    hpf: FirFilter
-    fir21: np.ndarray
-    truncation_ratio: float = 0.0
+    h: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "fir21", np.asarray(self.fir21, dtype=float).reshape(-1))
+    @property
+    def fir21(self) -> np.ndarray:
+        """The truncated filter the regressor learns (a view of h)."""
+        return self.h[:FIR_FEATURE_LEN]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The IIR form: run k on x, then the high-pass; same length as x."""
-        return self.hpf.apply(self.k.simulate(x))
+    @property
+    def truncation_ratio(self) -> float:
+        """Energy of h beyond the truncation over its total energy."""
+        total = float(np.dot(self.h, self.h))
+        tail = float(np.dot(self.h[FIR_FEATURE_LEN:], self.h[FIR_FEATURE_LEN:]))
+        return tail / total if total > 0 else 0.0
 
 
-def assemble_synthesis_filter(ktilde: StateSpaceModel) -> StateSpaceModel:
-    """Scalar fast-rate filter [1, z^-1] applied to ktilde(z^2).
+def assemble_synthesis_filter(ktilde: StateSpaceModel) -> np.ndarray:
+    """First TRUNCATION_SPAN impulse-response samples of the scalar fast-rate
+    filter k = [1, z^-1] ktilde(z^2).
 
-    The impulse response interleaves the two lifted channel responses:
-    h[2t] = h1[t], h[2t+1] = h2[t].
+    They interleave the two lifted channel responses: hk[2t] = h1[t],
+    hk[2t+1] = h2[t], which are the rows (h1[t], h2[t]) of ktilde's response
+    read in order.  k is stable exactly when ktilde is (its poles are the
+    square roots of ktilde's, and one at zero).
     """
     if ktilde.p != 1 or ktilde.m != 2:
         raise HbFilterError("expected a 1-input 2-output lifted controller")
-    k2 = expand_z2(ktilde)
-    # y[t] = y1[t] + y2[t-1]: share the expanded state, add one memory cell
-    # for the delayed second channel instead of duplicating the realization
-    n = k2.n
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = k2.A
-    A[n, :n] = k2.C[1]
-    B = np.vstack([k2.B, k2.D[1:2]])
-    C = np.zeros((1, n + 1))
-    C[0, :n] = k2.C[0]
-    C[0, n] = 1.0
-    D = k2.D[0:1].copy()
-    return StateSpaceModel(A, B, C, D)
-
-
-def extract_highband_filter(k: StateSpaceModel, hpf: FirFilter) -> SynthesisFilter:
-    """Follow k with the causal HPF and truncate the impulse response.
-
-    The FIR feature is the first FIR_FEATURE_LEN impulse-response samples of
-    k followed by the HPF; the reported ratio is tail energy over total
-    energy across TRUNCATION_SPAN samples.
-    """
-    if not k.is_stable():
+    if not ktilde.is_stable():
         raise HbFilterError("synthesis filter must be stable")
-    hk = k.impulse_response(TRUNCATION_SPAN)[:, 0]
-    h = np.convolve(hk, hpf.taps)[:TRUNCATION_SPAN]
-    total = float(np.dot(h, h))
-    tail = float(np.dot(h[FIR_FEATURE_LEN:], h[FIR_FEATURE_LEN:]))
-    ratio = tail / total if total > 0 else 0.0
-    return SynthesisFilter(
-        k=k, hpf=hpf, fir21=h[:FIR_FEATURE_LEN].copy(), truncation_ratio=ratio
-    )
+    return ktilde.impulse_response(TRUNCATION_SPAN // 2).reshape(-1)
+
+
+def extract_highband_filter(hk: np.ndarray, hpf: FirFilter) -> SynthesisFilter:
+    """Follow k's impulse response hk with the causal HPF, truncated to
+    TRUNCATION_SPAN samples."""
+    return SynthesisFilter(np.convolve(hk, hpf.taps)[:TRUNCATION_SPAN])

@@ -61,17 +61,18 @@ class OracleSource:
 def estimate_hb_signal(
     nb_frame: Frame,
     lpc: LpcModel,
-    hb_filter: FirFilter | SynthesisFilter,
+    hb_filter: FirFilter,
     g1_est: float,
     gain_adjust: bool = True,
 ) -> np.ndarray:
     """Residue -> upsample -> high-band filter -> energy gain correction.
 
-    `hb_filter.apply(x)` returns the filtered signal at the length of x: a
-    causal 21-tap FirFilter, or the SynthesisFilter itself for the IIR form
-    (the de-lifted filter followed by the high-pass).  The correction scales
-    the synthetic high band so its log energy ratio against the narrowband
-    frame matches g1_est.
+    `hb_filter` is causal: the 21-tap truncated filter, or for the IIR form
+    the SynthesisFilter's whole response h, which on an upsampled frame
+    (shorter than h) is exactly the de-lifted filter followed by the
+    high-pass.  The correction scales the synthetic high band so its log
+    energy ratio against the narrowband frame matches g1_est; a gain that
+    overflows or is not finite raises FloatingPointError.
     """
     x = nb_frame.samples
     e_nb = float(np.dot(x, x))
@@ -85,7 +86,12 @@ def estimate_hb_signal(
     if e_hb <= 1e-300:
         return np.zeros_like(hb)
     g2 = np.log10(e_hb / e_nb)
-    g = np.sqrt(10.0**g1_est / 10.0**g2)
+    try:
+        g = np.sqrt(10.0**g1_est / 10.0**g2)
+    except OverflowError:
+        g = np.inf
+    if not np.isfinite(g):
+        raise FloatingPointError(f"high-band gain out of range (g1 = {g1_est:.6g})")
     return g * hb
 
 
@@ -155,7 +161,7 @@ def extend_frame(
             if entry is None:
                 return nb16
             synth, g1 = entry
-            hb_filter = synth if cfg.filter_form == "iir" else FirFilter(synth.fir21, causal=True)
+            hb_filter = FirFilter(synth.h if cfg.filter_form == "iir" else synth.fir21, causal=True)
         else:
             hb_vec, g1 = predict_hb(predictor, lpc.coeffs)
             hb_filter = FirFilter(hb_vec, causal=True)

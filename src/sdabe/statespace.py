@@ -202,13 +202,3 @@ def lift2(g: StateSpaceModel) -> StateSpaceModel:
     D2 = np.block([[D, np.zeros((m, p))], [C @ B, D]])
     return StateSpaceModel(A2, B2, C2, D2)
 
-
-def expand_z2(g: StateSpaceModel) -> StateSpaceModel:
-    """Realize g(z^2): each unit of dynamics takes two time steps."""
-    n = g.n
-    if n == 0:
-        return g
-    A = np.block([[np.zeros((n, n)), np.eye(n)], [g.A, np.zeros((n, n))]])
-    B = np.vstack([np.zeros((n, g.p)), g.B])
-    C = np.hstack([g.C, np.zeros((g.m, n))])
-    return StateSpaceModel(A, B, C, g.D)

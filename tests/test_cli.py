@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config resolution, light workflows."""
 
+import json
 import wave
 import weakref
 
@@ -7,13 +8,14 @@ import numpy as np
 import pytest
 
 from sdabe.audio import AudioBuffer, frame_signal, read_wav, write_wav
+from sdabe.corpus import synth_utterance
 import sdabe.cli as cli
 import sdabe.pipeline as pipeline
 from sdabe.cli import (EXIT_MISSING, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _ext_config, _load_config,
                        build_parser, collect_pairs, main)
 from sdabe.filters import design_fixed_filters
 from sdabe.metrics import read_manifest
-from sdabe.pipeline import OracleSource
+from sdabe.pipeline import OracleSource, narrowband_of
 
 
 def test_no_command_prints_usage():
@@ -285,6 +287,62 @@ def test_train_gmm_model_error_is_usage_error(six_pair_manifest, tmp_path, capsy
     assert main(["train", str(six_pair_manifest), str(model), *extra]) == EXIT_USAGE
     assert "components" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("g1", [400.0, float("nan")], ids=["overflow", "nan"])
+def test_gain_out_of_range_is_numerical_failure(six_pair_manifest, tmp_path, capsys, g1):
+    model = tmp_path / "g.json"
+    assert main(["train", str(six_pair_manifest), str(model), "--gmm", "2"]) == EXIT_OK
+    doc = json.loads(model.read_text())
+    # every prediction of g1 (the last output) becomes the mean
+    doc["mvn_out"]["mean"][-1] = g1
+    doc["mvn_out"]["std"][-1] = 0.0
+    model.write_text(json.dumps(doc))
+    _, nb, _ = read_manifest(six_pair_manifest)[0]
+    out = tmp_path / "out.wav"
+    assert main(["extend", nb, str(out), "--model", str(model)]) == EXIT_NUMERIC
+    assert "gain out of range" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["evaluate", str(six_pair_manifest), str(tmp_path / "res"), "--model", str(model)])
+    assert rc == EXIT_NUMERIC
+    assert "gain out of range" in capsys.readouterr().err
+
+
+def _fault_signal(kind: str) -> np.ndarray:
+    """0.05 s of awkward 16 kHz input (0.0075 s, under one frame, for `short`)."""
+    rng = np.random.default_rng(5)
+    n = 800
+    if kind == "silence":
+        return np.zeros(n)
+    if kind == "dc":
+        return np.full(n, 0.5)
+    if kind == "short":
+        return synth_utterance(rng).samples[:120]
+    if kind == "clipped":
+        x = synth_utterance(rng, duration=0.05).samples
+        return np.clip(4.0 * x / np.max(np.abs(x)), -1.0, 1.0)
+    if kind == "impulses":
+        x = np.zeros(n)
+        x[::80] = 0.9
+        return x
+    return np.clip(0.3 * rng.standard_normal(n), -1.0, 1.0)  # white noise
+
+
+@pytest.mark.parametrize("form", ["fir21", "iir"])
+@pytest.mark.parametrize("kind", ["silence", "dc", "short", "clipped", "impulses", "noise"])
+def test_oracle_fault_set(tmp_path, monkeypatch, kind, form):
+    lpf, _ = design_fixed_filters()
+    wb, nb = tmp_path / "wb.wav", tmp_path / "nb.wav"
+    write_wav(wb, AudioBuffer(_fault_signal(kind), 16000))
+    write_wav(nb, narrowband_of(read_wav(wb), lpf))
+    written = []
+    monkeypatch.setattr(cli, "write_wav", lambda path, buf: written.append(buf) or write_wav(path, buf))
+    out = tmp_path / "out.wav"
+    rc = main(["extend", str(nb), str(out), "--oracle", str(wb), "--filter-form", form])
+    assert rc == EXIT_OK
+    (res,) = written
+    assert np.all(np.isfinite(res.samples))
+    assert len(read_wav(out)) == len(res) == 2 * len(read_wav(nb))
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from conftest import random_stable_ss
 from sdabe.statespace import (
     StateSpaceError,
     StateSpaceModel,
-    expand_z2,
     lift2,
     series,
     static_gain,
@@ -98,14 +97,6 @@ def test_lift2_reproduces_blocked_response(rng):
     y = g.simulate(u.reshape(-1, 1))[:, 0]
     y2 = lift2(g).simulate(u.reshape(-1, 2))
     assert np.allclose(y2.reshape(-1), y, atol=1e-10)
-
-
-def test_expand_z2_substitutes_squared_argument(rng):
-    g = random_stable_ss(rng, 3)
-    h = g.impulse_response(20)[:, 0]
-    h2 = expand_z2(g).impulse_response(40)[:, 0]
-    assert np.allclose(h2[::2], h, atol=1e-12)
-    assert np.allclose(h2[1::2], 0.0, atol=1e-12)
 
 
 def test_unstable_detection(rng):
