@@ -282,7 +282,8 @@ def cmd_evaluate(args) -> int:
     except AudioError as exc:
         _progress(f"bad input: {exc}")
         return EXIT_USAGE
-    except (MetricsError, ModelError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        # a model error, a metric error, or a predicted filter that is not finite
         _progress(f"evaluation failed: {exc}")
         return EXIT_NUMERIC
     if not records[0]:

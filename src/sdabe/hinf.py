@@ -8,6 +8,12 @@ solvable with a single indefinite Riccati equation per gamma.  The same
 structure gives a lower bound on the level any filter reaches (exogenous
 directions the measurement cannot see pass to the error untouched), and
 bisection levels below it are refused without a Riccati solve.
+
+Each Riccati equation is solved first by the structure-preserving doubling
+algorithm, which needs only n x n solves and products.  Its solution is kept
+when the iteration converged, the scaled residual is at most
+_DARE_RESIDUAL_TOL and the closed loop is stable; otherwise the ordered QZ
+decomposition of the extended symplectic pencil decides, as before.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ _FFT_NORM_LEN = 2048  # impulse-response length of the fast closed-loop norm est
 _REG = 1e-6  # measurement-noise regularization making the filtering problem regular
 _REL_TOL = 1e-3  # bisection stops when the gamma bracket is this fraction of the open-loop level
 _LB_GRID = 128  # estimation lower bound bins pi j / _LB_GRID; divides _FFT_NORM_LEN / 2
+_SDA_MAX_ITER = 30  # doubling steps before solve_dare falls back to QZ
+_SDA_TOL = 1e-13  # doubling has converged when its H step is this fraction of H
+_SDA_STALL_AFTER = 8  # from this step on, a growing H step counts as stagnation
+_DARE_RESIDUAL_TOL = 1e-10  # scaled Riccati residual a doubling solution must meet
 
 
 class HinfError(RuntimeError):
@@ -52,15 +62,85 @@ def _extended_pencil(A, B, Q, R, S) -> tuple[np.ndarray, np.ndarray]:
     return M, N
 
 
+def _solve_dare_sda(A, B, Q, R, S) -> np.ndarray | None:
+    """Structure-preserving doubling iteration for the DARE of `solve_dare`.
+
+    After the cross term is removed (A0 = A - B R^-1 S', G0 = B R^-1 B',
+    H0 = Q - S R^-1 S'), each step with W = I + G H maps
+    H <- H + A'H W^-1 A, G <- G + A W^-1 G A', A <- A W^-1 A, and H converges
+    quadratically to the stabilizing solution when one exists (Chu, Fan, Lin
+    & Wang 2004).  Returns H once its step is below _SDA_TOL of it, or None
+    after _SDA_MAX_ITER steps or when the step grows from step
+    _SDA_STALL_AFTER on.  A singular W raises LinAlgError.
+    """
+    n = A.shape[0]
+    RiBS = np.linalg.solve(R, np.hstack([B.T, S.T]))  # R^-1 [B' S']
+    Ak = A - B @ RiBS[:, n:]
+    G = B @ RiBS[:, :n]
+    H = Q - S @ RiBS[:, n:]
+    G, H = 0.5 * (G + G.T), 0.5 * (H + H.T)
+    eye = np.eye(n)
+    prev = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_SDA_MAX_ITER):
+            WiA = np.linalg.solve(eye + G @ H, np.hstack([Ak, G @ Ak.T]))  # W^-1 [A  G A']
+            dH = Ak.T @ H @ WiA[:, :n]
+            G = G + Ak @ WiA[:, n:]
+            H = H + dH
+            Ak = Ak @ WiA[:, :n]
+            G, H = 0.5 * (G + G.T), 0.5 * (H + H.T)
+            step = np.max(np.abs(dH))
+            if not np.isfinite(step) or (k >= _SDA_STALL_AFTER and step > prev):
+                return None
+            if step <= _SDA_TOL * np.max(np.abs(H)):
+                return H
+            prev = step
+    return None
+
+
+def _is_stabilizing(A, B, Q, R, S, X) -> bool:
+    """Whether X solves the DARE to a scaled residual of at most
+    _DARE_RESIDUAL_TOL and its closed loop A - B (R + B'XB)^-1 (B'XA + S')
+    has spectral radius below 1."""
+    BX = B.T @ X
+    K = BX @ A + S.T
+    L = np.linalg.solve(R + BX @ B, K)
+    AXA = A.T @ X @ A
+    res = AXA - K.T @ L + Q - X
+    scale = np.linalg.norm(AXA, 1) + np.linalg.norm(Q, 1) + np.linalg.norm(X, 1)
+    if not np.linalg.norm(res, 1) <= _DARE_RESIDUAL_TOL * scale:
+        return False
+    return bool(np.max(np.abs(np.linalg.eigvals(A - B @ L))) < 1.0)
+
+
 def solve_dare(A, B, Q, R, S):
     """Stabilizing solution of X = A'XA - (A'XB+S)(R+B'XB)^-1(B'XA+S') + Q.
 
-    Extended-pencil QZ route; R may be indefinite (needed for the game-type
-    Riccati equations of the bounded-real lemma).  Returns (X, n_stable)
-    where n_stable is the number of inside-unit-circle pencil eigenvalues.
+    R may be indefinite (needed for the game-type Riccati equations of the
+    bounded-real lemma).  Returns (X, n_stable) where n_stable is the number
+    of inside-unit-circle eigenvalues of the extended pencil.
+
+    The doubling iteration `_solve_dare_sda` runs first.  Its X is returned,
+    with n_stable = n, only when it converged, its scaled residual is at most
+    _DARE_RESIDUAL_TOL and its closed loop is stable: the closed-loop
+    eigenvalues are then the n stable pencil eigenvalues.  Otherwise
+    (including a singular step and n = 0) the extended-pencil QZ route
+    `_solve_dare_qz` decides, as it did alone before.
     """
     A = np.atleast_2d(A)
     B = np.atleast_2d(B)
+    if B.shape[0]:
+        try:
+            X = _solve_dare_sda(A, B, Q, R, S)
+            if X is not None and _is_stabilizing(A, B, Q, R, S, X):
+                return X, B.shape[0]
+        except np.linalg.LinAlgError:
+            pass
+    return _solve_dare_qz(A, B, Q, R, S)
+
+
+def _solve_dare_qz(A, B, Q, R, S):
+    """`solve_dare` by the ordered QZ decomposition of the extended pencil."""
     n = B.shape[0]
     M, N = _extended_pencil(A, B, Q, R, S)
     try:

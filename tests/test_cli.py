@@ -308,6 +308,23 @@ def test_gain_out_of_range_is_numerical_failure(six_pair_manifest, tmp_path, cap
     assert "gain out of range" in capsys.readouterr().err
 
 
+
+def test_non_finite_predicted_filter_is_numerical_failure(six_pair_manifest, tmp_path, capsys):
+    model = tmp_path / "g.json"
+    assert main(["train", str(six_pair_manifest), str(model), "--gmm", "2"]) == EXIT_OK
+    doc = json.loads(model.read_text())
+    # the first FIR tap of every prediction becomes NaN
+    doc["mvn_out"]["mean"][0] = float("nan")
+    model.write_text(json.dumps(doc))
+    _, nb, _ = read_manifest(six_pair_manifest)[0]
+    out = tmp_path / "out.wav"
+    assert main(["extend", nb, str(out), "--model", str(model)]) == EXIT_NUMERIC
+    assert "taps must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["evaluate", str(six_pair_manifest), str(tmp_path / "res"), "--model", str(model)])
+    assert rc == EXIT_NUMERIC
+    assert "evaluation failed: taps must be finite" in capsys.readouterr().err
+
 def _fault_signal(kind: str) -> np.ndarray:
     """0.05 s of awkward 16 kHz input (0.0075 s, under one frame, for `short`)."""
     rng = np.random.default_rng(5)

@@ -1,5 +1,7 @@
 """H-infinity norm computation, Riccati solves, and filter synthesis."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -212,12 +214,129 @@ def test_sigma_max_falls_back_to_svd_norm_beyond_2x2(rng):
 
 def test_failed_pencil_reordering_rejects_the_level(rng, monkeypatch):
     # ordqz raises ValueError when it cannot reorder an ill-conditioned
-    # pencil; synthesis treats the level as infeasible instead of failing
+    # pencil; synthesis treats the level as infeasible instead of failing.
+    # The doubling iteration gives up too, so every level reaches QZ.
     def refuse(*args, **kwargs):
         raise ValueError("Reordering of (A, B) failed")
 
     plant = _random_estimation_plant(rng, 3)
+    monkeypatch.setattr("sdabe.hinf._solve_dare_sda", lambda *args: None)
     monkeypatch.setattr("sdabe.hinf.sla.ordqz", refuse)
     sol = hinf_synthesize(plant)
     assert sol.controller.n == 0 and not np.any(sol.controller.D)
     assert sol.gamma == pytest.approx(hinf_norm(open_loop_error(plant)), rel=1e-6)
+
+
+def _filter_dares(plants, monkeypatch):
+    """The Riccati data `_feasible` passes to `solve_dare` for each plant at
+    1.1 and 1.5 times its synthesized level."""
+    dares = []
+
+    def record(*args):
+        dares.append(args)
+        return hinf._solve_dare_qz(*args)
+
+    gammas = [hinf_synthesize(plant).gamma for plant in plants]
+    monkeypatch.setattr(hinf, "solve_dare", record)
+    for plant, gamma in zip(plants, gammas):
+        for factor in (1.1, 1.5):
+            hinf._feasible(plant, factor * gamma)
+    return dares
+
+
+def test_doubling_agrees_with_qz_on_filter_dares(utterance_plants, monkeypatch):
+    dares = _filter_dares(utterance_plants, monkeypatch)
+    assert len(dares) == 2 * len(utterance_plants)
+    for args in dares:
+        X = hinf._solve_dare_sda(*args)
+        assert X is not None and hinf._is_stabilizing(*args, X)
+        X_qz, n_stable = hinf._solve_dare_qz(*args)
+        assert n_stable == X.shape[0]
+        assert np.max(np.abs(X - X_qz)) <= 1e-8 * np.max(np.abs(X_qz))
+        X_got, n_got = solve_dare(*args)
+        assert np.array_equal(X_got, X) and n_got == n_stable
+
+
+def test_dare_without_stabilizing_solution_falls_back_to_qz():
+    # the mode at z = 1 is unreachable from the input, so no X stabilizes;
+    # Q does not weight it, so doubling converges to a solution whose closed
+    # loop keeps that mode, and only the stability gate refuses it
+    A = np.diag([1.0, 0.5])
+    B = np.array([[0.0], [1.0]])
+    Q, R, S = np.diag([0.0, 1.0]), np.eye(1), np.zeros((2, 1))
+    X = hinf._solve_dare_sda(A, B, Q, R, S)
+    assert X is not None and not hinf._is_stabilizing(A, B, Q, R, S, X)
+    try:
+        expected = hinf._solve_dare_qz(A, B, Q, R, S)
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(exc))):
+            solve_dare(A, B, Q, R, S)
+    else:
+        X_got, n_got = solve_dare(A, B, Q, R, S)
+        assert np.array_equal(X_got, expected[0]) and n_got == expected[1]
+
+
+
+def test_gate_refuses_a_solution_off_by_more_than_the_residual_tolerance(rng):
+    n = 4
+    A = random_stable_ss(rng, n).A
+    B = rng.standard_normal((n, 2))
+    Q = np.eye(n)
+    R, S = np.eye(2), np.zeros((n, 2))
+    X = scipy.linalg.solve_discrete_are(A, B, Q, R)
+    assert hinf._is_stabilizing(A, B, Q, R, S, X)
+    # a relative error of 1e-8 leaves the closed loop stable but not the residual
+    assert not hinf._is_stabilizing(A, B, Q, R, S, X * (1.0 + 1e-8))
+
+def _utterance_frames(monkeypatch):
+    """Per frame of synth_utterance seed 3: skip reason, level and fir21."""
+    from sdabe.features import DegenerateFrame, extract_feature_pair
+    from sdabe.filters import design_fixed_filters
+
+    lpf, hpf = design_fixed_filters()
+    gammas = []
+
+    def synthesize(plant):
+        sol = hinf_synthesize(plant)
+        gammas.append(sol.gamma)
+        return sol
+
+    monkeypatch.setattr("sdabe.features.hinf_synthesize", synthesize)
+    rows = []
+    for fr in frame_signal(synth_utterance(np.random.default_rng(3))):
+        gammas.clear()
+        try:
+            pair, _ = extract_feature_pair(fr, lpf, hpf)
+            rows.append(("ok", gammas[0], pair.hb))
+        except DegenerateFrame as exc:
+            rows.append((exc.reason, gammas[0] if gammas else None, None))
+    return rows
+
+
+def test_doubling_route_keeps_every_frame(monkeypatch):
+    calls = {"dare": 0, "qz": 0}
+    qz = hinf._solve_dare_qz
+
+    def counted_qz(*args):
+        calls["qz"] += 1
+        return qz(*args)
+
+    dare = hinf.solve_dare
+
+    def counted_dare(*args):
+        calls["dare"] += 1
+        return dare(*args)
+
+    monkeypatch.setattr(hinf, "_solve_dare_qz", counted_qz)
+    monkeypatch.setattr(hinf, "solve_dare", counted_dare)
+    shipped = _utterance_frames(monkeypatch)
+    assert calls["qz"] < calls["dare"]  # the doubling route served some levels
+    monkeypatch.setattr(hinf, "_solve_dare_sda", lambda *args: None)
+    qz_only = _utterance_frames(monkeypatch)
+    assert len(shipped) == len(qz_only) == 15
+    for (reason, gamma, fir), (reason_qz, gamma_qz, fir_qz) in zip(shipped, qz_only):
+        assert reason == reason_qz
+        if gamma_qz is not None:
+            assert abs(gamma - gamma_qz) <= 1e-9 * gamma_qz
+        if fir_qz is not None:
+            assert np.max(np.abs(fir - fir_qz)) <= 1e-6 * np.max(np.abs(fir_qz))
