@@ -34,7 +34,8 @@ def _progress(msg: str) -> None:
 
 def _load_config(path) -> dict[str, str]:
     """Flatten an INI file: [DEFAULT] first, then each section in file order,
-    so a section's own value wins over [DEFAULT]."""
+    so a section's own value wins over [DEFAULT].  A key may be spelled like
+    its flag (`nb-only`) or like its setting (`nb_only`)."""
     # read [DEFAULT] as a plain section, so a section's items are its own keys
     # and not the defaults merged in
     cp = configparser.ConfigParser(default_section="\0")
@@ -42,7 +43,7 @@ def _load_config(path) -> dict[str, str]:
         raise FileNotFoundError(path)
     flat: dict[str, str] = {}
     for section in sorted(cp.sections(), key=lambda s: s != configparser.DEFAULTSECT):
-        flat.update(cp.items(section))
+        flat.update((key.replace("-", "_"), val) for key, val in cp.items(section))
     return flat
 
 
@@ -52,7 +53,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     if args.config:
         out.update(_load_config(args.config))
     for key in defaults:
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key, None)
         if val is not None:
             out[key] = val
     return out
@@ -145,7 +146,7 @@ def cmd_train(args) -> int:
     try:
         if args.gmm:
             model = train_gmm(pairs, components=args.gmm, seed=args.seed)
-            history = model.gmm.loglik_history
+            history = model.net.loglik_history
         else:
             cfg = MlpConfig(
                 epochs=_value(opts, "epochs", int),
@@ -157,7 +158,7 @@ def cmd_train(args) -> int:
                 _progress(f"only {len(pairs)} training pairs (need {cfg.batch_size}); {skipped} skipped")
                 return EXIT_USAGE
             model = train_mlp(pairs, cfg)
-            history = model.mlp.loss_history
+            history = model.net.loss_history
     except ModelError as exc:
         _progress(f"cannot train on {len(pairs)} pairs: {exc}")
         return EXIT_USAGE
@@ -344,7 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error is 2, here a missing resource
+        return EXIT_USAGE if exc.code else EXIT_OK
     if not getattr(args, "func", None):
         build_parser().print_usage(sys.stderr)
         return EXIT_USAGE

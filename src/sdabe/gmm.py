@@ -35,6 +35,8 @@ def _log_gauss(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
 class Gmm:
     """Full-covariance mixture fitted with EM (ridge-regularized)."""
 
+    kind = "gmm"
+
     def __init__(self, components: int, seed: int = 0):
         self.k = components
         self.seed = seed
@@ -42,6 +44,10 @@ class Gmm:
         self.means = None
         self.covs = None
         self.loglik_history: list[float] = []
+
+    @property
+    def trained(self) -> bool:
+        return self.means is not None
 
     def fit(self, X: np.ndarray, iters: int = 50, tol: float = 1e-7):
         X = np.asarray(X, dtype=float)
@@ -93,9 +99,11 @@ class Gmm:
             c = (resp[:, j, None] * diff).T @ diff / nk[j]
             self.covs[j] = 0.5 * (c + c.T) + ridge * np.eye(d)
 
-    def conditional_expectation(self, x_in: np.ndarray, in_dim: int) -> np.ndarray:
-        """E[out-block | in-block = x_in] under the joint mixture."""
+    def regress(self, x_in: np.ndarray) -> np.ndarray:
+        """E[out-block | in-block = x_in] under the joint mixture; the
+        in-block is the first len(x_in) dimensions."""
         x_in = np.asarray(x_in, dtype=float).reshape(-1)
+        in_dim = len(x_in)
         k, d = self.k, self.means.shape[1]
         Xi = x_in[None, :]
         logw = np.empty(k)
@@ -111,3 +119,28 @@ class Gmm:
         post = np.exp(logw - mx)
         post /= post.sum()
         return post @ cond
+
+    # ---- serialization ------------------------------------------------------
+
+    def state(self) -> dict:
+        """The fitted mixture as JSON-ready lists."""
+        return {
+            "weights": self.weights.tolist(),
+            "means": self.means.tolist(),
+            "covs": self.covs.tolist(),
+            "loglik_history": list(self.loglik_history),
+        }
+
+    @classmethod
+    def from_state(cls, blob: dict) -> "Gmm":
+        """The mixture `state()` wrote; raises ValueError when the means and
+        covariances do not follow the weights."""
+        gmm = cls(len(blob["weights"]))
+        gmm.weights = np.asarray(blob["weights"], dtype=float)
+        gmm.means = np.asarray(blob["means"], dtype=float)
+        gmm.covs = np.asarray(blob["covs"], dtype=float)
+        k, d = gmm.k, gmm.means.size // max(gmm.k, 1)
+        if (gmm.weights.shape, gmm.means.shape, gmm.covs.shape) != ((k,), (k, d), (k, d, d)):
+            raise ValueError("gmm weights, means and covs disagree in shape")
+        gmm.loglik_history = [float(v) for v in blob["loglik_history"]]
+        return gmm

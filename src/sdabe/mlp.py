@@ -1,14 +1,21 @@
 """Feed-forward regressor trained with AdaMax on mean squared error.
 
-Plain numpy implementation: linear layers, optional batch normalization
-before the rectifier, linear output layer, L2 weight decay.
+Plain numpy implementation: linear layers, batch normalization before the
+rectifier, linear output layer, L2 weight decay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+BETA1 = 0.9  # AdaMax first-moment decay
+BETA2 = 0.999  # AdaMax infinity-norm decay
+EPS = 1e-8  # in the batch-norm variance and the AdaMax step
+BN_MOMENTUM = 0.9  # running batch-norm statistics
+
+_TENSORS = ("W", "b", "gamma", "beta", "run_mean", "run_var")
 
 
 @dataclass
@@ -18,16 +25,13 @@ class MlpConfig:
     learning_rate: float = 0.01
     epochs: int = 50
     batch_size: int = 180
-    beta1: float = 0.9
-    beta2: float = 0.999
     weight_decay: float = 1e-4
-    batch_norm: bool = True
     seed: int = 0
-    eps: float = 1e-8
-    bn_momentum: float = 0.9
 
 
 class Mlp:
+    kind = "mlp"
+
     def __init__(self, in_dim: int, out_dim: int, cfg: MlpConfig):
         self.cfg = cfg
         self.dims = [in_dim] + [cfg.hidden_units] * cfg.hidden_layers + [out_dim]
@@ -37,9 +41,8 @@ class Mlp:
             lim = np.sqrt(6.0 / d_in)
             self.W.append(rng.uniform(-lim, lim, size=(d_in, d_out)))
             self.b.append(np.zeros(d_out))
-        n_hidden = cfg.hidden_layers
-        self.gamma = [np.ones(d) for d in self.dims[1:-1]] if cfg.batch_norm else []
-        self.beta = [np.zeros(d) for d in self.dims[1:-1]] if cfg.batch_norm else []
+        self.gamma = [np.ones(d) for d in self.dims[1:-1]]
+        self.beta = [np.zeros(d) for d in self.dims[1:-1]]
         self.run_mean = [np.zeros(d) for d in self.dims[1:-1]]
         self.run_var = [np.ones(d) for d in self.dims[1:-1]]
         self.loss_history: list[float] = []
@@ -48,47 +51,39 @@ class Mlp:
     # ---- forward / backward -------------------------------------------------
 
     def forward(self, X: np.ndarray, train: bool = False):
-        cfg = self.cfg
         caches = []
         h = X
         n_layers = len(self.W)
         for li in range(n_layers):
             z = h @ self.W[li] + self.b[li]
-            cache = {"h_in": h, "z": z}
+            cache = {"h_in": h}
             if li < n_layers - 1:
-                if cfg.batch_norm:
-                    if train:
-                        mu = z.mean(axis=0)
-                        var = z.var(axis=0)
-                        self.run_mean[li] = (
-                            cfg.bn_momentum * self.run_mean[li] + (1 - cfg.bn_momentum) * mu
-                        )
-                        self.run_var[li] = (
-                            cfg.bn_momentum * self.run_var[li] + (1 - cfg.bn_momentum) * var
-                        )
-                    else:
-                        mu, var = self.run_mean[li], self.run_var[li]
-                    zhat = (z - mu) / np.sqrt(var + cfg.eps)
-                    s = self.gamma[li] * zhat + self.beta[li]
-                    cache.update(zhat=zhat, var=var, s=s)
+                if train:
+                    mu = z.mean(axis=0)
+                    var = z.var(axis=0)
+                    self.run_mean[li] = BN_MOMENTUM * self.run_mean[li] + (1 - BN_MOMENTUM) * mu
+                    self.run_var[li] = BN_MOMENTUM * self.run_var[li] + (1 - BN_MOMENTUM) * var
                 else:
-                    s = z
+                    mu, var = self.run_mean[li], self.run_var[li]
+                zhat = (z - mu) / np.sqrt(var + EPS)
+                s = self.gamma[li] * zhat + self.beta[li]
+                cache.update(zhat=zhat, var=var, relu_in=s)
                 h = np.maximum(s, 0.0)
-                cache["relu_in"] = s
             else:
                 h = z
             caches.append(cache)
         return h, caches
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        y, _ = self.forward(np.atleast_2d(X), train=False)
-        return y
+    def regress(self, x: np.ndarray) -> np.ndarray:
+        """Output for one input vector, or one output row per input row."""
+        x = np.asarray(x, dtype=float)
+        y, _ = self.forward(np.atleast_2d(x), train=False)
+        return y if x.ndim == 2 else y[0]
 
     def loss_and_grads(self, X: np.ndarray, Y: np.ndarray, train: bool = True):
         """MSE loss (plus L2 penalty) and gradients for every parameter."""
         cfg = self.cfg
         out, caches = self.forward(X, train=train)
-        N = X.shape[0]
         diff = out - Y
         loss = float(np.mean(diff**2))
         dW = [None] * len(self.W)
@@ -101,22 +96,17 @@ class Mlp:
             cache = caches[li]
             if li < n_layers - 1:
                 grad = grad * (cache["relu_in"] > 0.0)
-                if cfg.batch_norm:
-                    zhat, var = cache["zhat"], cache["var"]
-                    dgamma[li] = np.sum(grad * zhat, axis=0)
-                    dbeta[li] = np.sum(grad, axis=0)
-                    dzhat = grad * self.gamma[li]
-                    inv = 1.0 / np.sqrt(var + cfg.eps)
-                    m = X.shape[0]
-                    grad = (
-                        inv
-                        / m
-                        * (
-                            m * dzhat
-                            - np.sum(dzhat, axis=0)
-                            - zhat * np.sum(dzhat * zhat, axis=0)
-                        )
-                    )
+                zhat, var = cache["zhat"], cache["var"]
+                dgamma[li] = np.sum(grad * zhat, axis=0)
+                dbeta[li] = np.sum(grad, axis=0)
+                dzhat = grad * self.gamma[li]
+                inv = 1.0 / np.sqrt(var + EPS)
+                m = X.shape[0]
+                grad = (
+                    inv
+                    / m
+                    * (m * dzhat - np.sum(dzhat, axis=0) - zhat * np.sum(dzhat * zhat, axis=0))
+                )
             dW[li] = cache["h_in"].T @ grad + cfg.weight_decay * self.W[li]
             db[li] = np.sum(grad, axis=0)
             grad = grad @ self.W[li].T
@@ -141,23 +131,45 @@ class Mlp:
             n_batches = 0
             for s in range(0, N, bs):
                 idx = order[s : s + bs]
-                if len(idx) < 2 and cfg.batch_norm and len(idx) < N:
+                if len(idx) < 2 and len(idx) < N:
                     continue  # batch statistics need more than one sample
                 loss, grads = self.loss_and_grads(X[idx], Y[idx], train=True)
                 t += 1
                 for key, params in groups:
                     for i, p in enumerate(params):
                         g = grads[key][i]
-                        if g is None:
-                            continue
-                        m_state[key][i] = cfg.beta1 * m_state[key][i] + (1 - cfg.beta1) * g
-                        u_state[key][i] = np.maximum(
-                            cfg.beta2 * u_state[key][i], np.abs(g)
-                        )
-                        step = cfg.learning_rate / (1 - cfg.beta1**t)
-                        p -= step * m_state[key][i] / (u_state[key][i] + cfg.eps)
+                        m_state[key][i] = BETA1 * m_state[key][i] + (1 - BETA1) * g
+                        u_state[key][i] = np.maximum(BETA2 * u_state[key][i], np.abs(g))
+                        step = cfg.learning_rate / (1 - BETA1**t)
+                        p -= step * m_state[key][i] / (u_state[key][i] + EPS)
                 epoch_loss += loss
                 n_batches += 1
             self.loss_history.append(epoch_loss / max(n_batches, 1))
         self.trained = True
         return self
+
+    # ---- serialization ------------------------------------------------------
+
+    def state(self) -> dict:
+        """The trained net as JSON-ready lists: `dims`, each tensor list and
+        `loss_history`."""
+        blob = {key: [p.tolist() for p in getattr(self, key)] for key in _TENSORS}
+        return {"dims": self.dims, "loss_history": list(self.loss_history), **blob}
+
+    @classmethod
+    def from_state(cls, blob: dict) -> "Mlp":
+        """The net `state()` wrote, for `regress`; raises ValueError when a
+        tensor's shape does not follow `dims`."""
+        net = cls.__new__(cls)
+        net.dims = [int(d) for d in blob["dims"]]
+        hidden = [(d,) for d in net.dims[1:-1]]
+        shapes = dict(W=list(zip(net.dims[:-1], net.dims[1:])), b=[(d,) for d in net.dims[1:]],
+                      gamma=hidden, beta=hidden, run_mean=hidden, run_var=hidden)
+        for key in _TENSORS:
+            tensors = [np.asarray(p, dtype=float) for p in blob[key]]
+            if [t.shape for t in tensors] != shapes[key]:
+                raise ValueError(f"mlp {key} shapes do not follow dims {net.dims}")
+            setattr(net, key, tensors)
+        net.loss_history = [float(v) for v in blob["loss_history"]]
+        net.trained = True
+        return net

@@ -5,7 +5,7 @@ versioned JSON serialization."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,20 +20,18 @@ class ModelError(ValueError):
     pass
 
 
+_NETS = {net.kind: net for net in (Mlp, Gmm)}
+
+
 @dataclass
 class RegressorModel:
-    kind: str  # "mlp" | "gmm"
+    """A trained net (`Mlp` or `Gmm`) between the MVN of its input and of its
+    output; `config` is what trained it, kept as written."""
+
     mvn_in: MvnStats
     mvn_out: MvnStats
-    mlp: Mlp | None = None
-    gmm: Gmm | None = None
-    config: dict = field(default_factory=dict)
-
-    @property
-    def trained(self) -> bool:
-        if self.kind == "mlp":
-            return self.mlp is not None and self.mlp.trained
-        return self.gmm is not None and self.gmm.means is not None
+    net: Mlp | Gmm
+    config: dict
 
 
 def _stack_pairs(pairs: list[FeaturePair]):
@@ -52,9 +50,7 @@ def train_mlp(pairs: list[FeaturePair], cfg: MlpConfig | None = None) -> Regress
     mvn_out = mvn_fit(Y)
     net = Mlp(NB_DIM, HB_DIM + 1, cfg)
     net.fit(mvn_apply(mvn_in, X), mvn_apply(mvn_out, Y))
-    return RegressorModel(
-        kind="mlp", mvn_in=mvn_in, mvn_out=mvn_out, mlp=net, config=asdict(cfg)
-    )
+    return RegressorModel(mvn_in, mvn_out, net, asdict(cfg))
 
 
 def train_gmm(pairs: list[FeaturePair], components: int = 128, seed: int = 0) -> RegressorModel:
@@ -68,13 +64,7 @@ def train_gmm(pairs: list[FeaturePair], components: int = 128, seed: int = 0) ->
     mvn_out = mvn_fit(Y)
     joint = np.hstack([mvn_apply(mvn_in, X), mvn_apply(mvn_out, Y)])
     gmm = Gmm(components, seed=seed).fit(joint)
-    return RegressorModel(
-        kind="gmm",
-        mvn_in=mvn_in,
-        mvn_out=mvn_out,
-        gmm=gmm,
-        config={"components": components, "seed": seed},
-    )
+    return RegressorModel(mvn_in, mvn_out, gmm, {"components": components, "seed": seed})
 
 
 def predict_hb(model: RegressorModel, nb: np.ndarray) -> tuple[np.ndarray, float]:
@@ -82,51 +72,25 @@ def predict_hb(model: RegressorModel, nb: np.ndarray) -> tuple[np.ndarray, float
     nb = np.asarray(nb, dtype=float).reshape(-1)
     if len(nb) != NB_DIM:
         raise ModelError(f"nb feature must have dim {NB_DIM}")
-    if not model.trained:
+    if not model.net.trained:
         raise ModelError("model is not trained")
-    x = mvn_apply(model.mvn_in, nb)
-    if model.kind == "mlp":
-        y = model.mlp.predict(x[None, :])[0]
-    else:
-        y = model.gmm.conditional_expectation(x, NB_DIM)
-    out = mvn_invert(model.mvn_out, y)
+    out = mvn_invert(model.mvn_out, model.net.regress(mvn_apply(model.mvn_in, nb)))
     return out[:HB_DIM], float(out[HB_DIM])
 
 
 # ---- serialization ----------------------------------------------------------
 
 
-def _arr(a) -> list:
-    return np.asarray(a, dtype=float).tolist()
-
-
 def save_model(model: RegressorModel, path) -> None:
+    kind = model.net.kind
     doc = {
         "format_version": FORMAT_VERSION,
-        "kind": model.kind,
-        "mvn_in": {"mean": _arr(model.mvn_in.mean), "std": _arr(model.mvn_in.std)},
-        "mvn_out": {"mean": _arr(model.mvn_out.mean), "std": _arr(model.mvn_out.std)},
+        "kind": kind,
+        "mvn_in": {"mean": model.mvn_in.mean.tolist(), "std": model.mvn_in.std.tolist()},
+        "mvn_out": {"mean": model.mvn_out.mean.tolist(), "std": model.mvn_out.std.tolist()},
         "config": model.config,
+        kind: model.net.state(),
     }
-    if model.kind == "mlp":
-        net = model.mlp
-        doc["mlp"] = {
-            "dims": net.dims,
-            "W": [_arr(w) for w in net.W],
-            "b": [_arr(b) for b in net.b],
-            "gamma": [_arr(g) for g in net.gamma],
-            "beta": [_arr(b) for b in net.beta],
-            "run_mean": [_arr(m) for m in net.run_mean],
-            "run_var": [_arr(v) for v in net.run_var],
-            "loss_history": _arr(net.loss_history),
-        }
-    else:
-        doc["gmm"] = {
-            "weights": _arr(model.gmm.weights),
-            "means": _arr(model.gmm.means),
-            "covs": _arr(model.gmm.covs),
-            "loglik_history": _arr(model.gmm.loglik_history),
-        }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, sort_keys=True, indent=1)
         f.write("\n")
@@ -146,32 +110,10 @@ def load_model(path) -> RegressorModel:
         mvn_in = MvnStats(np.array(doc["mvn_in"]["mean"]), np.array(doc["mvn_in"]["std"]))
         mvn_out = MvnStats(np.array(doc["mvn_out"]["mean"]), np.array(doc["mvn_out"]["std"]))
         kind = doc["kind"]
-        if kind == "mlp":
-            blob = doc["mlp"]
-            cfg = MlpConfig(**{k: v for k, v in doc["config"].items()})
-            net = Mlp(blob["dims"][0], blob["dims"][-1], cfg)
-            net.dims = list(blob["dims"])
-            net.W = [np.array(w) for w in blob["W"]]
-            net.b = [np.array(b) for b in blob["b"]]
-            net.gamma = [np.array(g) for g in blob["gamma"]]
-            net.beta = [np.array(b) for b in blob["beta"]]
-            net.run_mean = [np.array(m) for m in blob["run_mean"]]
-            net.run_var = [np.array(v) for v in blob["run_var"]]
-            net.loss_history = list(blob["loss_history"])
-            net.trained = True
-            return RegressorModel(
-                kind="mlp", mvn_in=mvn_in, mvn_out=mvn_out, mlp=net, config=doc["config"]
-            )
-        if kind == "gmm":
-            blob = doc["gmm"]
-            gmm = Gmm(len(blob["weights"]), seed=doc["config"].get("seed", 0))
-            gmm.weights = np.array(blob["weights"])
-            gmm.means = np.array(blob["means"])
-            gmm.covs = np.array(blob["covs"])
-            gmm.loglik_history = list(blob["loglik_history"])
-            return RegressorModel(
-                kind="gmm", mvn_in=mvn_in, mvn_out=mvn_out, gmm=gmm, config=doc["config"]
-            )
+        if kind not in _NETS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        return RegressorModel(mvn_in, mvn_out, _NETS[kind].from_state(doc[kind]), doc["config"])
     except KeyError as exc:
         raise ModelError(f"{path}: model file lacks key {exc.args[0]!r}") from exc
-    raise ModelError(f"unknown model kind {kind!r}")
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ModelError(f"{path}: malformed model file ({exc})") from exc

@@ -305,7 +305,7 @@ def test_criterion_7_regressor_sanity(corpus, oracles, table1):
     # GMM expectation-maximization log-likelihood monotonicity on the
     # normalized features the training path actually fits
     gmm_model = train_gmm(pairs[:300], components=4, seed=0)
-    hist = np.asarray(gmm_model.gmm.loglik_history)
+    hist = np.asarray(gmm_model.net.loglik_history)
     # monotone up to floating-point wobble at the converged plateau, which
     # scales with the log-likelihood magnitude
     tol = 1e-6 * np.maximum(1.0, np.abs(hist[:-1]))

@@ -13,9 +13,12 @@ import sdabe.cli as cli
 import sdabe.pipeline as pipeline
 from sdabe.cli import (EXIT_MISSING, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _ext_config, _load_config,
                        build_parser, collect_pairs, main)
+from sdabe.features import HB_DIM, NB_DIM, FeaturePair
 from sdabe.filters import design_fixed_filters
 from sdabe.metrics import read_manifest
+from sdabe.mlp import MlpConfig
 from sdabe.pipeline import OracleSource, narrowband_of
+from sdabe.regressor import save_model, train_mlp
 
 
 def test_no_command_prints_usage():
@@ -151,6 +154,34 @@ def test_config_section_value_wins_over_default_section(tmp_path):
     assert _load_config(cfg) == {"addition": "dft", "mode": "fold", "n_files": "2"}
 
 
+def test_config_keys_may_be_spelled_like_flags(tmp_path):
+    cfg = tmp_path / "sdabe.ini"
+    cfg.write_text("[DEFAULT]\nn-files = 2\nduration = 0.05\nnb-only = true\n")
+    assert _load_config(cfg) == {"n_files": "2", "duration": "0.05", "nb_only": "true"}
+    corpus = tmp_path / "corpus"
+    assert main(["--config", str(cfg), "synth-corpus", str(corpus)]) == EXIT_OK
+    manifest = str(corpus / "manifest.tsv")
+    assert len(read_manifest(manifest)) == 2
+    reports = {}
+    for name, argv in [("config", ["--config", str(cfg), "evaluate"]),
+                       ("flag", ["evaluate", "--nb-only", "true"]), ("default", ["evaluate"])]:
+        res = tmp_path / name
+        assert main([*argv, manifest, str(res), "--mode", "fold"]) == EXIT_OK
+        reports[name] = (res / "report.txt").read_text()
+    assert reports["config"] == reports["flag"] != reports["default"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "m.tsv", "out.json", "--epochs", "abc"], ["evaluate", "m.tsv", "out", "--mode", "bogus"],
+     ["bogus-cmd"]],
+    ids=["bad-int", "bad-choice", "unknown-command"],
+)
+def test_bad_flag_or_command_is_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
 def test_evaluate_wideband_narrowband_file_is_usage_error(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     main(["synth-corpus", str(out_dir), "--n-files", "1", "--duration", "0.1"])
@@ -184,13 +215,27 @@ def test_malformed_manifest_is_usage_error(tmp_path, capsys, command, extra):
     assert "only_a_reference.wav" in err and ":2:" in err
 
 
+def _drop_a_row_of_first_w(doc):
+    doc["mlp"]["W"][0] = doc["mlp"]["W"][0][1:]
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [('{"format_version": 1}', "'mvn_in'"), ('{"format_version": 1, "mvn', "not a model file"),
-     ("[1, 2]", "not a model file")],
-    ids=["missing-key", "truncated", "not-an-object"],
+     ("[1, 2]", "not a model file"), (lambda doc: doc["mlp"].update(W=3), "malformed model file"),
+     (_drop_a_row_of_first_w, "W shapes do not follow dims")],
+    ids=["missing-key", "truncated", "not-an-object", "tensor-not-a-list", "wrong-shape"],
 )
 def test_malformed_model_is_model_error(tmp_path, capsys, text, reason):
+    if callable(text):
+        # edit a freshly saved model, so that only the edited tensor is wrong
+        pairs = [FeaturePair(nb=np.full(NB_DIM, float(i)), hb=np.full(HB_DIM, 0.1 * i), g1=-0.1 * i)
+                 for i in range(4)]
+        save_model(train_mlp(pairs, MlpConfig(hidden_layers=1, hidden_units=4, epochs=1)),
+                   tmp_path / "good.json")
+        doc = json.loads((tmp_path / "good.json").read_text())
+        text(doc)
+        text = json.dumps(doc)
     rng = np.random.default_rng(0)
     nb, wb = tmp_path / "nb.wav", tmp_path / "wb.wav"
     write_wav(nb, AudioBuffer(rng.standard_normal(800) * 0.1, 8000))

@@ -32,7 +32,7 @@ def test_single_component_conditional_is_linear_regression():
         np.hstack([X, np.ones((len(X), 1))]), Y, rcond=None
     )
     for i in range(20):
-        pred = g.conditional_expectation(X[i], in_dim=2)
+        pred = g.regress(X[i])
         ref = X[i] @ A[:2] + A[2]
         assert np.allclose(pred, ref, atol=1e-6)
 
@@ -68,8 +68,8 @@ def test_conditional_tracks_cluster_structure():
     )
     g = Gmm(components=2, seed=0)
     g.fit(data, iters=60)
-    up = g.conditional_expectation(np.array([3.0]), in_dim=1)
-    dn = g.conditional_expectation(np.array([-3.0]), in_dim=1)
+    up = g.regress(np.array([3.0]))
+    dn = g.regress(np.array([-3.0]))
     assert abs(up[0] - 6.0) < 0.5
     assert abs(dn[0] - 6.0) < 0.5
 

@@ -63,7 +63,7 @@ def test_overfits_tiny_dataset():
     Y = rng.standard_normal((10, 2))
     net = Mlp(4, 2, _small_cfg(epochs=2000, learning_rate=0.02))
     net.fit(X, Y)
-    pred = net.predict(X)
+    pred = net.regress(X)
     mse = float(np.mean((pred - Y) ** 2))
     assert mse < 1e-3
 
@@ -105,7 +105,23 @@ def test_prediction_uses_running_batch_norm_stats():
     Y = rng.standard_normal((30, 2))
     net = Mlp(4, 2, _small_cfg(epochs=50))
     net.fit(X, Y)
-    one = net.predict(X[:1])
-    batch = net.predict(X)
+    one = net.regress(X[:1])
+    batch = net.regress(X)
     # inference is per-sample: a single example predicts the same inside a batch
     assert np.allclose(one[0], batch[0], atol=1e-12)
+
+
+def test_training_reproduces_recorded_values():
+    # loss history and weight sum of a small seeded net, recorded as float hex
+    # before the MLP's fixed settings became module constants; matrices this
+    # small keep each BLAS product to one thread
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((40, 5))
+    Y = np.tanh(X @ rng.standard_normal((5, 3)))
+    net = Mlp(5, 3, MlpConfig(hidden_layers=2, hidden_units=16, epochs=6, batch_size=16, seed=4))
+    net.fit(X, Y)
+    assert [v.hex() for v in net.loss_history] == [
+        "0x1.ef170a68c4dabp-1", "0x1.22d684db62da8p-1", "0x1.ac5c6ce0d8163p-2",
+        "0x1.6dc2eac95b013p-2", "0x1.4afdf60eac6ebp-2", "0x1.1e332c31d7e29p-2",
+    ]
+    assert float(sum(np.sum(w) for w in net.W)).hex() == "0x1.805342bc5b6cep+4"

@@ -1,5 +1,7 @@
 """Regressor training wrappers and model serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,8 @@ def _tiny_cfg():
 
 def test_train_mlp_produces_trained_model():
     model = train_mlp(_fake_pairs(), _tiny_cfg())
-    assert model.kind == "mlp"
-    assert model.trained
+    assert model.net.kind == "mlp"
+    assert model.net.trained
 
 
 def test_predict_hb_shapes():
@@ -58,7 +60,7 @@ def test_mlp_round_trip_is_exact(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
-    assert back.kind == "mlp"
+    assert back.net.kind == "mlp"
     probe = np.linspace(-1, 1, NB_DIM)
     hb1, g1 = predict_hb(model, probe)
     hb2, g2 = predict_hb(back, probe)
@@ -71,6 +73,30 @@ def test_gmm_round_trip_is_exact(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
+    probe = np.linspace(-1, 1, NB_DIM)
+    hb1, g1 = predict_hb(model, probe)
+    hb2, g2 = predict_hb(back, probe)
+    assert np.array_equal(hb1, hb2)
+    assert g1 == g2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "bn_momentum": 0.9, "batch_norm": True},
+     {"not_a_setting": 1}],
+    ids=["older-twelve-key-config", "unknown-key"],
+)
+def test_model_config_is_kept_as_written(tmp_path, extra):
+    # the older format also wrote the MLP's fixed optimizer and batch-norm
+    # settings into `config`; the loader reads the net from its tensors alone
+    model = train_mlp(_fake_pairs(), _tiny_cfg())
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["config"].update(extra)
+    path.write_text(json.dumps(doc))
+    back = load_model(path)
+    assert back.config == doc["config"]
     probe = np.linspace(-1, 1, NB_DIM)
     hb1, g1 = predict_hb(model, probe)
     hb2, g2 = predict_hb(back, probe)
