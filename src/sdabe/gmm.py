@@ -36,6 +36,7 @@ class Gmm:
     """Full-covariance mixture fitted with EM (ridge-regularized)."""
 
     kind = "gmm"
+    TENSORS = ("weights", "means", "covs")
 
     def __init__(self, components: int, seed: int = 0):
         self.k = components
@@ -100,9 +101,15 @@ class Gmm:
             self.covs[j] = 0.5 * (c + c.T) + ridge * np.eye(d)
 
     def regress(self, x_in: np.ndarray) -> np.ndarray:
-        """E[out-block | in-block = x_in] under the joint mixture; the
-        in-block is the first len(x_in) dimensions."""
-        x_in = np.asarray(x_in, dtype=float).reshape(-1)
+        """E[out-block | in-block = x_in] under the joint mixture for one
+        input vector, or one output row per input row; the in-block is the
+        first len(x_in) dimensions."""
+        x_in = np.asarray(x_in, dtype=float)
+        if x_in.ndim == 2:
+            return np.array([self._regress_one(x) for x in x_in])
+        return self._regress_one(x_in.reshape(-1))
+
+    def _regress_one(self, x_in: np.ndarray) -> np.ndarray:
         in_dim = len(x_in)
         k, d = self.k, self.means.shape[1]
         Xi = x_in[None, :]
@@ -123,13 +130,10 @@ class Gmm:
     # ---- serialization ------------------------------------------------------
 
     def state(self) -> dict:
-        """The fitted mixture as JSON-ready lists."""
-        return {
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "covs": self.covs.tolist(),
-            "loglik_history": list(self.loglik_history),
-        }
+        """The fitted mixture: each of `TENSORS` as an array, and
+        `loglik_history`."""
+        blob = {key: getattr(self, key) for key in self.TENSORS}
+        return {**blob, "loglik_history": list(self.loglik_history)}
 
     @classmethod
     def from_state(cls, blob: dict) -> "Gmm":

@@ -15,8 +15,6 @@ BETA2 = 0.999  # AdaMax infinity-norm decay
 EPS = 1e-8  # in the batch-norm variance and the AdaMax step
 BN_MOMENTUM = 0.9  # running batch-norm statistics
 
-_TENSORS = ("W", "b", "gamma", "beta", "run_mean", "run_var")
-
 
 @dataclass
 class MlpConfig:
@@ -31,6 +29,7 @@ class MlpConfig:
 
 class Mlp:
     kind = "mlp"
+    TENSORS = ("W", "b", "gamma", "beta", "run_mean", "run_var")  # one array per layer
 
     def __init__(self, in_dim: int, out_dim: int, cfg: MlpConfig):
         self.cfg = cfg
@@ -151,9 +150,9 @@ class Mlp:
     # ---- serialization ------------------------------------------------------
 
     def state(self) -> dict:
-        """The trained net as JSON-ready lists: `dims`, each tensor list and
-        `loss_history`."""
-        blob = {key: [p.tolist() for p in getattr(self, key)] for key in _TENSORS}
+        """The trained net: `dims`, `loss_history` and each of `TENSORS` as a
+        list of arrays."""
+        blob = {key: list(getattr(self, key)) for key in self.TENSORS}
         return {"dims": self.dims, "loss_history": list(self.loss_history), **blob}
 
     @classmethod
@@ -165,7 +164,7 @@ class Mlp:
         hidden = [(d,) for d in net.dims[1:-1]]
         shapes = dict(W=list(zip(net.dims[:-1], net.dims[1:])), b=[(d,) for d in net.dims[1:]],
                       gamma=hidden, beta=hidden, run_mean=hidden, run_var=hidden)
-        for key in _TENSORS:
+        for key in cls.TENSORS:
             tensors = [np.asarray(p, dtype=float) for p in blob[key]]
             if [t.shape for t in tensors] != shapes[key]:
                 raise ValueError(f"mlp {key} shapes do not follow dims {net.dims}")

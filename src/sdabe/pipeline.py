@@ -16,6 +16,7 @@ from .lpc import NB_LPC_ORDER, LpcModel, inverse_filter, levinson_lpc
 from .regressor import predict_hb
 
 DFT_SIZE = 512
+PREDICT_BLOCK = 256  # frames per `predict_hb` call, so memory stays bounded on long files
 
 
 class PipelineError(ValueError):
@@ -56,6 +57,22 @@ class OracleSource:
 
     def get(self, index: int):
         return self._entries.get(index)
+
+
+def predict_frames(frames: list[Frame], model) -> dict[int, tuple[LpcModel, np.ndarray, float]]:
+    """Regressor mode: each non-silent frame's LPC model, predicted high-band
+    taps and g1, by frame index.  The frames' LPC coefficients pass through
+    `predict_hb` together, in blocks of at most PREDICT_BLOCK rows, so the
+    model's weights are read once per block rather than once per frame."""
+    sounding = [fr for fr in frames if np.any(fr.samples)]
+    lpcs = [levinson_lpc(fr, NB_LPC_ORDER) for fr in sounding]
+    entries = {}
+    for s in range(0, len(sounding), PREDICT_BLOCK):
+        block = lpcs[s : s + PREDICT_BLOCK]
+        hb, g1 = predict_hb(model, np.array([lpc.coeffs for lpc in block]))
+        for fr, lpc, taps, g in zip(sounding[s : s + PREDICT_BLOCK], block, hb, g1):
+            entries[fr.index] = (lpc, taps, float(g))
+    return entries
 
 
 def estimate_hb_signal(
@@ -144,7 +161,10 @@ def extend_frame(
     lpf: FirFilter,
     hpf: FirFilter,
 ) -> np.ndarray:
-    """One frame of the extension block; returns the 16 kHz frame signal."""
+    """One frame of the extension block; returns the 16 kHz frame signal.
+
+    `predictor` is what the mode reads: an OracleSource, the entries of
+    `predict_frames`, or None (fold mode, or narrowband only)."""
     if nb_frame.rate != 8000:
         raise PipelineError("extension input frames must be at 8 kHz")
     nb16 = process_nb(nb_frame, lpf)
@@ -155,16 +175,16 @@ def extend_frame(
     if cfg.mode == "fold":
         hb16 = fold_baseline(nb_frame, hpf)
     else:
-        lpc = levinson_lpc(nb_frame, NB_LPC_ORDER)
         if cfg.mode == "oracle":
+            lpc = levinson_lpc(nb_frame, NB_LPC_ORDER)
             entry = predictor.get(nb_frame.index)
             if entry is None:
                 return nb16
             synth, g1 = entry
-            hb_filter = FirFilter(synth.h if cfg.filter_form == "iir" else synth.fir21, causal=True)
+            taps = synth.h if cfg.filter_form == "iir" else synth.fir21
         else:
-            hb_vec, g1 = predict_hb(predictor, lpc.coeffs)
-            hb_filter = FirFilter(hb_vec, causal=True)
+            lpc, taps, g1 = predictor[nb_frame.index]
+        hb_filter = FirFilter(taps, causal=True)
         hb16 = estimate_hb_signal(nb_frame, lpc, hb_filter, g1, gain_adjust=cfg.gain_adjust)
     if cfg.addition == "time":
         return nb16 + hb16
@@ -178,10 +198,14 @@ def extend_file(
     lpf: FirFilter,
     hpf: FirFilter,
 ) -> AudioBuffer:
-    """Frame-wise extension with 50%-overlap rectangular overlap-add."""
+    """Frame-wise extension with 50%-overlap rectangular overlap-add.  In
+    regressor mode `predictor` is the model, which predicts all of the
+    file's frames before the first is extended."""
     if nb.rate != 8000:
         raise PipelineError("extension requires an 8 kHz input")
     frames = frame_signal(nb)
+    if cfg.mode == "regressor" and not cfg.nb_only:
+        predictor = predict_frames(frames, predictor)
     out_frames = [extend_frame(fr, predictor, cfg, lpf, hpf) for fr in frames]
     hop16 = frames[0].hop * 2
     y = overlap_add(out_frames, hop16, 2 * len(nb))

@@ -4,7 +4,9 @@ versioned JSON serialization."""
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -13,7 +15,7 @@ from .features import FeaturePair, MvnStats, mvn_apply, mvn_fit, mvn_invert, NB_
 from .gmm import Gmm
 from .mlp import Mlp, MlpConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # version 1 (tensors as JSON number lists) is still read
 
 
 class ModelError(ValueError):
@@ -67,18 +69,51 @@ def train_gmm(pairs: list[FeaturePair], components: int = 128, seed: int = 0) ->
     return RegressorModel(mvn_in, mvn_out, gmm, {"components": components, "seed": seed})
 
 
-def predict_hb(model: RegressorModel, nb: np.ndarray) -> tuple[np.ndarray, float]:
-    """Normalized forward pass (or GMM conditioning), then reverse MVN; returns (hb, g1)."""
-    nb = np.asarray(nb, dtype=float).reshape(-1)
-    if len(nb) != NB_DIM:
+def predict_hb(model: RegressorModel, nb: np.ndarray):
+    """Normalized forward pass (or GMM conditioning), then reverse MVN.
+
+    For one feature vector returns (hb, g1); for one row per frame returns
+    (hb rows, g1 array)."""
+    nb = np.asarray(nb, dtype=float)
+    if nb.ndim not in (1, 2) or nb.shape[-1] != NB_DIM:
         raise ModelError(f"nb feature must have dim {NB_DIM}")
     if not model.net.trained:
         raise ModelError("model is not trained")
     out = mvn_invert(model.mvn_out, model.net.regress(mvn_apply(model.mvn_in, nb)))
-    return out[:HB_DIM], float(out[HB_DIM])
+    if nb.ndim == 1:
+        return out[:HB_DIM], float(out[HB_DIM])
+    return out[:, :HB_DIM], out[:, HB_DIM]
 
 
 # ---- serialization ----------------------------------------------------------
+
+
+def _encode_tensor(t: np.ndarray) -> dict:
+    """A tensor as its shape and the base64 of its little-endian float64 bytes."""
+    raw = np.ascontiguousarray(t, dtype="<f8").tobytes()
+    return {"shape": list(t.shape), "f8le": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_tensor(blob) -> np.ndarray:
+    """The tensor `_encode_tensor` wrote; raises ValueError (or TypeError) when
+    the blob is not one, its bytes are not base64 or their count does not
+    match its shape."""
+    if not isinstance(blob, dict):
+        raise TypeError(f"tensor is a {type(blob).__name__}, not a shape and bytes object")
+    shape = tuple(int(d) for d in blob["shape"])
+    raw = base64.b64decode(blob["f8le"], validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"tensor of shape {list(shape)} holds {len(raw)} bytes")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+
+
+def _map_tensors(state: dict, tensors, fn) -> dict:
+    """`state` with `fn` applied to each named tensor (or to each tensor of a
+    named list of them)."""
+    out = dict(state)
+    for key in tensors:
+        out[key] = [fn(t) for t in state[key]] if isinstance(state[key], list) else fn(state[key])
+    return out
 
 
 def save_model(model: RegressorModel, path) -> None:
@@ -89,7 +124,7 @@ def save_model(model: RegressorModel, path) -> None:
         "mvn_in": {"mean": model.mvn_in.mean.tolist(), "std": model.mvn_in.std.tolist()},
         "mvn_out": {"mean": model.mvn_out.mean.tolist(), "std": model.mvn_out.std.tolist()},
         "config": model.config,
-        kind: model.net.state(),
+        kind: _map_tensors(model.net.state(), model.net.TENSORS, _encode_tensor),
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, sort_keys=True, indent=1)
@@ -104,15 +139,21 @@ def load_model(path) -> RegressorModel:
             raise ModelError(f"{path}: not a model file ({exc})") from exc
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: not a model file (expected a JSON object)")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ModelError(f"unsupported model format version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if version not in (1, FORMAT_VERSION):
+        raise ModelError(f"unsupported model format version {version!r}")
     try:
-        mvn_in = MvnStats(np.array(doc["mvn_in"]["mean"]), np.array(doc["mvn_in"]["std"]))
-        mvn_out = MvnStats(np.array(doc["mvn_out"]["mean"]), np.array(doc["mvn_out"]["std"]))
+        mvn = {}
+        for key, dim in (("mvn_in", NB_DIM), ("mvn_out", HB_DIM + 1)):
+            mvn[key] = MvnStats(np.array(doc[key]["mean"]), np.array(doc[key]["std"]))
+            if len(mvn[key].mean) != dim:
+                raise ValueError(f"{key} has {len(mvn[key].mean)} entries, not {dim}")
         kind = doc["kind"]
         if kind not in _NETS:
             raise ValueError(f"unknown model kind {kind!r}")
-        return RegressorModel(mvn_in, mvn_out, _NETS[kind].from_state(doc[kind]), doc["config"])
+        net = _NETS[kind]
+        state = doc[kind] if version == 1 else _map_tensors(doc[kind], net.TENSORS, _decode_tensor)
+        return RegressorModel(mvn["mvn_in"], mvn["mvn_out"], net.from_state(state), doc["config"])
     except KeyError as exc:
         raise ModelError(f"{path}: model file lacks key {exc.args[0]!r}") from exc
     except (TypeError, ValueError, AttributeError) as exc:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config resolution, light workflows."""
 
+import base64
 import json
 import wave
 import weakref
@@ -215,16 +216,37 @@ def test_malformed_manifest_is_usage_error(tmp_path, capsys, command, extra):
     assert "only_a_reference.wav" in err and ":2:" in err
 
 
-def _drop_a_row_of_first_w(doc):
-    doc["mlp"]["W"][0] = doc["mlp"]["W"][0][1:]
+def _edit_first_w(edit):
+    """A model-file edit that replaces the first weight tensor's shape and
+    bytes by `edit(shape, raw bytes)`."""
+    def apply(doc):
+        w = doc["mlp"]["W"][0]
+        shape, raw = edit(w["shape"], base64.b64decode(w["f8le"]))
+        w.update(shape=shape, f8le=base64.b64encode(raw).decode())
+    return apply
+
+
+def _truncate_mvn_in(doc):
+    for key in ("mean", "std"):
+        doc["mvn_in"][key] = doc["mvn_in"][key][:-1]
+
+
+_ROW = 8 * 4  # bytes in one row of the first weight tensor (11 x 4)
 
 
 @pytest.mark.parametrize(
     "text, reason",
     [('{"format_version": 1}', "'mvn_in'"), ('{"format_version": 1, "mvn', "not a model file"),
-     ("[1, 2]", "not a model file"), (lambda doc: doc["mlp"].update(W=3), "malformed model file"),
-     (_drop_a_row_of_first_w, "W shapes do not follow dims")],
-    ids=["missing-key", "truncated", "not-an-object", "tensor-not-a-list", "wrong-shape"],
+     ("[1, 2]", "not a model file"),
+     (lambda doc: doc["mlp"]["W"].__setitem__(0, 3), "malformed model file"),
+     (_edit_first_w(lambda shape, raw: ([shape[0] - 1, shape[1]], raw[_ROW:])),
+      "W shapes do not follow dims"),
+     (_edit_first_w(lambda shape, raw: (shape[::-1], raw)), "W shapes do not follow dims"),
+     (_edit_first_w(lambda shape, raw: ([shape[0] + 1, shape[1]], raw)), "holds 352 bytes"),
+     (lambda doc: doc["mlp"]["W"][0].update(f8le="not base64!"), "base64"),
+     (_truncate_mvn_in, "mvn_in has 10 entries")],
+    ids=["missing-key", "truncated", "not-an-object", "tensor-not-a-list", "wrong-shape",
+         "shape-not-dims", "byte-count", "bad-base64", "mvn-in-short"],
 )
 def test_malformed_model_is_model_error(tmp_path, capsys, text, reason):
     if callable(text):

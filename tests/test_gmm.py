@@ -114,3 +114,14 @@ def test_rank_deficient_data_runs_em_past_the_kmeans_start():
     hist = np.asarray(g.loglik_history)
     assert len(hist) > 1
     assert np.all(np.diff(hist) >= 0.0)
+
+
+def test_regress_gives_one_row_per_input_row():
+    rng = np.random.default_rng(3)
+    g = Gmm(2, seed=0).fit(rng.standard_normal((60, 5)))
+    for rows in (1, 3, 4):
+        X = rng.standard_normal((rows, 2))
+        out = g.regress(X)
+        assert out.shape == (rows, 3)
+        for x, y in zip(X, out):
+            assert np.array_equal(g.regress(x), y)

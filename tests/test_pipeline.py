@@ -1,22 +1,29 @@
 """Extension pipeline: band addition, folding baseline, frame and file paths."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sdabe.audio import AudioBuffer, Frame, frame_signal, upsample2_seq
+from sdabe.audio import AudioBuffer, Frame, frame_signal, overlap_add, upsample2_seq
+from sdabe.features import HB_DIM, FeaturePair, MvnStats
 from sdabe.filters import FirFilter, design_fixed_filters
 from sdabe.lpc import NB_LPC_ORDER, inverse_filter, levinson_lpc
+from sdabe.mlp import MlpConfig
 from sdabe.pipeline import (
+    PREDICT_BLOCK,
     ExtensionConfig,
     OracleSource,
     PipelineError,
     dft_add,
     estimate_hb_signal,
     extend_file,
+    extend_frame,
     fold_baseline,
     narrowband_of,
     process_nb,
 )
+from sdabe.regressor import predict_hb, train_gmm, train_mlp
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +173,74 @@ def test_oracle_source_round_trip(filters, rng):
     # some frames synthesized, retained as feature pairs as well
     assert any(src.get(i) is not None for i in range(len(frame_signal(nb))))
     assert len(src.pairs) >= 1
+
+
+def _lpc_pairs(rng, n=80):
+    """Training pairs whose inputs are LPC vectors of noise frames."""
+    pairs = []
+    for _ in range(n):
+        x = np.convolve(rng.standard_normal(220), rng.standard_normal(4))[:200]
+        lpc = levinson_lpc(Frame(samples=x, rate=8000, index=0, hop=100), NB_LPC_ORDER)
+        pairs.append(FeaturePair(nb=lpc.coeffs, hb=0.1 * rng.standard_normal(HB_DIM),
+                                 g1=float(rng.normal(-1.0, 0.3))))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def models():
+    pairs = _lpc_pairs(np.random.default_rng(11))
+    cfg = MlpConfig(hidden_layers=2, hidden_units=64, epochs=10, batch_size=20, seed=0)
+    return {"mlp": train_mlp(pairs, cfg), "gmm": train_gmm(pairs, components=3, seed=0)}
+
+
+def _speechy(rng, n):
+    """Coloured noise with a silent stretch, so some frames are all zeros."""
+    x = 0.1 * np.convolve(rng.standard_normal(n), [1.0, 0.6, 0.2])[:n]
+    x[400:1000] = 0.0
+    return AudioBuffer(x, 8000)
+
+
+def _per_frame_reference(nb, model, cfg, lpf, hpf):
+    """Regressor-mode extension with one `predict_hb` call per frame."""
+    frames = frame_signal(nb)
+    entries = {}
+    for fr in frames:
+        if np.any(fr.samples):
+            lpc = levinson_lpc(fr, NB_LPC_ORDER)
+            entries[fr.index] = (lpc, *predict_hb(model, lpc.coeffs))
+    out = [extend_frame(fr, entries, cfg, lpf, hpf) for fr in frames]
+    return overlap_add(out, 2 * frames[0].hop, 2 * len(nb))
+
+
+@pytest.mark.parametrize("kind", ["mlp", "gmm"])
+@pytest.mark.parametrize("frames", [20, PREDICT_BLOCK + 30], ids=["one-block", "two-blocks"])
+def test_regressor_extend_file_matches_per_frame_prediction(filters, models, kind, frames):
+    lpf, hpf = filters
+    nb = _speechy(np.random.default_rng(frames), 100 * (frames + 1))
+    assert len(frame_signal(nb)) == frames
+    cfg = ExtensionConfig(mode="regressor")
+    out = extend_file(nb, models[kind], cfg, lpf, hpf).samples
+    want = _per_frame_reference(nb, models[kind], cfg, lpf, hpf)
+    if kind == "gmm":
+        assert np.array_equal(out, want)  # the mixture regresses row by row
+    else:
+        # a block's matrix product may round differently from one row's
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_regressor_extend_file_nb_only_needs_no_model(filters, rng):
+    lpf, hpf = filters
+    nb = _speechy(rng, 2000)
+    out = extend_file(nb, None, ExtensionConfig(mode="regressor", nb_only=True), lpf, hpf)
+    ref = extend_file(nb, None, ExtensionConfig(mode="fold", nb_only=True), lpf, hpf)
+    assert np.array_equal(out.samples, ref.samples)
+
+
+def test_non_finite_regressor_gain_raises(filters, models, rng):
+    lpf, hpf = filters
+    model = models["mlp"]
+    mean = model.mvn_out.mean.copy()
+    mean[-1] = np.nan  # every predicted g1
+    bad = replace(model, mvn_out=MvnStats(mean, model.mvn_out.std))
+    with pytest.raises(FloatingPointError, match="gain out of range"):
+        extend_file(_speechy(rng, 2000), bad, ExtensionConfig(mode="regressor"), lpf, hpf)

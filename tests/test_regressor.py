@@ -1,5 +1,6 @@
 """Regressor training wrappers and model serialization."""
 
+import base64
 import json
 
 import numpy as np
@@ -117,3 +118,77 @@ def test_load_rejects_bad_payload(tmp_path):
     path.write_text('{"kind": "unknown"}')
     with pytest.raises(ModelError):
         load_model(path)
+
+
+def test_model_file_stores_tensors_as_bytes(tmp_path):
+    model = train_mlp(_fake_pairs(), _tiny_cfg())
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 2
+    w0 = doc["mlp"]["W"][0]
+    assert w0["shape"] == [NB_DIM, 8]
+    assert np.array_equal(np.frombuffer(base64.b64decode(w0["f8le"]), "<f8").reshape(NB_DIM, 8),
+                          model.net.W[0])
+    # the readable parts stay JSON numbers
+    assert doc["mlp"]["dims"] == model.net.dims
+    assert doc["mlp"]["loss_history"] == model.net.loss_history
+    assert doc["mvn_in"]["mean"] == model.mvn_in.mean.tolist()
+
+
+@pytest.mark.parametrize("kind", ["mlp", "gmm"])
+def test_version_one_file_loads_bit_identically(tmp_path, kind):
+    # a version-1 file held every tensor as nested JSON number lists
+    model = (train_mlp(_fake_pairs(), _tiny_cfg()) if kind == "mlp"
+             else train_gmm(_fake_pairs(), components=3, seed=0))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    state = model.net.state()
+    for key in model.net.TENSORS:
+        t = state[key]
+        doc[kind][key] = [p.tolist() for p in t] if isinstance(t, list) else t.tolist()
+    doc["format_version"] = 1
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+    back = load_model(path)
+    probe = np.linspace(-1, 1, NB_DIM)
+    hb1, g1 = predict_hb(model, probe)
+    hb2, g2 = predict_hb(back, probe)
+    assert np.array_equal(hb1, hb2)
+    assert g1 == g2
+
+
+def test_unknown_format_version_is_refused(tmp_path):
+    model = train_mlp(_fake_pairs(), _tiny_cfg())
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match="version 3"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("rows", [3, 4, 7])
+def test_predict_hb_on_stacked_rows_of_a_gmm_is_per_row(rows):
+    # 3 rows of 11 are 33 numbers, the joint dimension: a flattened input
+    # would have been read as one vector
+    model = train_gmm(_fake_pairs(), components=3, seed=0)
+    X = np.random.default_rng(1).standard_normal((rows, NB_DIM))
+    hb, g1 = predict_hb(model, X)
+    assert hb.shape == (rows, HB_DIM) and g1.shape == (rows,)
+    for i, x in enumerate(X):
+        hb_i, g1_i = predict_hb(model, x)
+        assert np.array_equal(hb[i], hb_i)
+        assert g1[i] == g1_i
+
+
+def test_predict_hb_on_stacked_rows_of_an_mlp_is_per_row():
+    model = train_mlp(_fake_pairs(), _tiny_cfg())
+    X = np.random.default_rng(1).standard_normal((5, NB_DIM))
+    hb, g1 = predict_hb(model, X)
+    assert hb.shape == (5, HB_DIM) and g1.shape == (5,)
+    for i, x in enumerate(X):
+        hb_i, g1_i = predict_hb(model, x)
+        np.testing.assert_allclose(hb[i], hb_i, rtol=1e-12, atol=1e-12 * np.max(np.abs(hb_i)))
+        assert g1[i] == pytest.approx(g1_i, rel=1e-12)
