@@ -63,7 +63,7 @@ def frame_signal(buf: AudioBuffer) -> list[Frame]:
     L = frame_length(buf.rate)
     hop = L // 2
     x = buf.samples
-    count = max(1, (len(x) - L) // hop + 1)
+    count = max(1, -(-(len(x) - L) // hop) + 1)
     frames = []
     for i in range(count):
         seg = x[i * hop : i * hop + L]

@@ -153,7 +153,12 @@ def load_model(path) -> RegressorModel:
             raise ValueError(f"unknown model kind {kind!r}")
         net = _NETS[kind]
         state = doc[kind] if version == 1 else _map_tensors(doc[kind], net.TENSORS, _decode_tensor)
-        return RegressorModel(mvn["mvn_in"], mvn["mvn_out"], net.from_state(state), doc["config"])
+        net = net.from_state(state)
+        if kind == "mlp" and net.dims[:1] + net.dims[-1:] != [NB_DIM, HB_DIM + 1]:
+            raise ValueError(f"mlp dims {net.dims} do not map {NB_DIM} inputs to {HB_DIM + 1} outputs")
+        if kind == "gmm" and net.means.shape[1] != NB_DIM + HB_DIM + 1:
+            raise ValueError(f"gmm means are {net.means.shape[1]} wide, not {NB_DIM + HB_DIM + 1}")
+        return RegressorModel(mvn["mvn_in"], mvn["mvn_out"], net, doc["config"])
     except KeyError as exc:
         raise ModelError(f"{path}: model file lacks key {exc.args[0]!r}") from exc
     except (TypeError, ValueError, AttributeError) as exc:

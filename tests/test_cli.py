@@ -231,6 +231,22 @@ def _truncate_mvn_in(doc):
         doc["mvn_in"][key] = doc["mvn_in"][key][:-1]
 
 
+def _cut_last_layer(doc):
+    """The net's last layer cut to HB_DIM outputs, its tensors re-encoded to match."""
+    net = doc["mlp"]
+    net["dims"][-1] = HB_DIM
+    for key, cut in (("W", lambda t: t[:, :HB_DIM]), ("b", lambda t: t[:HB_DIM])):
+        blob = net[key][-1]
+        t = cut(np.frombuffer(base64.b64decode(blob["f8le"]), "<f8").reshape(blob["shape"]))
+        blob.update(shape=list(t.shape), f8le=base64.b64encode(t.tobytes()).decode())
+
+
+def _save_tiny_mlp(path):
+    pairs = [FeaturePair(nb=np.full(NB_DIM, float(i)), hb=np.full(HB_DIM, 0.1 * i), g1=-0.1 * i)
+             for i in range(4)]
+    save_model(train_mlp(pairs, MlpConfig(hidden_layers=1, hidden_units=4, epochs=1)), path)
+
+
 _ROW = 8 * 4  # bytes in one row of the first weight tensor (11 x 4)
 
 
@@ -244,17 +260,15 @@ _ROW = 8 * 4  # bytes in one row of the first weight tensor (11 x 4)
      (_edit_first_w(lambda shape, raw: (shape[::-1], raw)), "W shapes do not follow dims"),
      (_edit_first_w(lambda shape, raw: ([shape[0] + 1, shape[1]], raw)), "holds 352 bytes"),
      (lambda doc: doc["mlp"]["W"][0].update(f8le="not base64!"), "base64"),
-     (_truncate_mvn_in, "mvn_in has 10 entries")],
+     (_truncate_mvn_in, "mvn_in has 10 entries"),
+     (_cut_last_layer, "do not map 11 inputs to 22 outputs")],
     ids=["missing-key", "truncated", "not-an-object", "tensor-not-a-list", "wrong-shape",
-         "shape-not-dims", "byte-count", "bad-base64", "mvn-in-short"],
+         "shape-not-dims", "byte-count", "bad-base64", "mvn-in-short", "last-layer-cut"],
 )
 def test_malformed_model_is_model_error(tmp_path, capsys, text, reason):
     if callable(text):
         # edit a freshly saved model, so that only the edited tensor is wrong
-        pairs = [FeaturePair(nb=np.full(NB_DIM, float(i)), hb=np.full(HB_DIM, 0.1 * i), g1=-0.1 * i)
-                 for i in range(4)]
-        save_model(train_mlp(pairs, MlpConfig(hidden_layers=1, hidden_units=4, epochs=1)),
-                   tmp_path / "good.json")
+        _save_tiny_mlp(tmp_path / "good.json")
         doc = json.loads((tmp_path / "good.json").read_text())
         text(doc)
         text = json.dumps(doc)
@@ -424,6 +438,21 @@ def test_oracle_fault_set(tmp_path, monkeypatch, kind, form):
     out = tmp_path / "out.wav"
     rc = main(["extend", str(nb), str(out), "--oracle", str(wb), "--filter-form", form])
     assert rc == EXIT_OK
+    (res,) = written
+    assert np.all(np.isfinite(res.samples))
+    assert len(read_wav(out)) == len(res) == 2 * len(read_wav(nb))
+
+
+@pytest.mark.parametrize("kind", ["silence", "dc", "short", "clipped", "impulses", "noise"])
+def test_regressor_fault_set(tmp_path, monkeypatch, kind):
+    lpf, _ = design_fixed_filters()
+    model, nb = tmp_path / "m.json", tmp_path / "nb.wav"
+    _save_tiny_mlp(model)
+    write_wav(nb, narrowband_of(AudioBuffer(_fault_signal(kind), 16000), lpf))
+    written = []
+    monkeypatch.setattr(cli, "write_wav", lambda path, buf: written.append(buf) or write_wav(path, buf))
+    out = tmp_path / "out.wav"
+    assert main(["extend", str(nb), str(out), "--model", str(model)]) == EXIT_OK
     (res,) = written
     assert np.all(np.isfinite(res.samples))
     assert len(read_wav(out)) == len(res) == 2 * len(read_wav(nb))

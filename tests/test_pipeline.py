@@ -193,6 +193,18 @@ def models():
     return {"mlp": train_mlp(pairs, cfg), "gmm": train_gmm(pairs, components=3, seed=0)}
 
 
+@pytest.mark.parametrize("mode", ["oracle", "regressor"])
+def test_underflowing_input_extends_to_finite_samples(filters, models, mode):
+    # samples this small are not silent, but their energy underflows to zero
+    lpf, hpf = filters
+    nb = AudioBuffer(np.full(800, 5e-324), 8000)
+    predictor = (OracleSource(AudioBuffer(np.full(1600, 5e-324), 16000), lpf, hpf)
+                 if mode == "oracle" else models["mlp"])
+    out = extend_file(nb, predictor, ExtensionConfig(mode=mode), lpf, hpf)
+    assert len(out) == 2 * len(nb)
+    assert np.all(np.isfinite(out.samples))
+
+
 def _speechy(rng, n):
     """Coloured noise with a silent stretch, so some frames are all zeros."""
     x = 0.1 * np.convolve(rng.standard_normal(n), [1.0, 0.6, 0.2])[:n]

@@ -158,6 +158,20 @@ def test_version_one_file_loads_bit_identically(tmp_path, kind):
     assert g1 == g2
 
 
+def test_gmm_of_the_wrong_width_is_refused(tmp_path):
+    # a mixture over 32 dimensions cannot join 11 inputs to 22 outputs
+    model = train_gmm(_fake_pairs(), components=3, seed=0)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    for key, t in (("means", model.net.means[:, :-1]), ("covs", model.net.covs[:, :-1, :-1])):
+        raw = np.ascontiguousarray(t, dtype="<f8").tobytes()
+        doc["gmm"][key] = {"shape": list(t.shape), "f8le": base64.b64encode(raw).decode()}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match="gmm means are 32 wide, not 33"):
+        load_model(path)
+
+
 def test_unknown_format_version_is_refused(tmp_path):
     model = train_mlp(_fake_pairs(), _tiny_cfg())
     path = tmp_path / "model.json"
