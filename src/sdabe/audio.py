@@ -24,8 +24,9 @@ class AudioBuffer:
         samples = np.asarray(self.samples, dtype=float).reshape(-1)
         if self.rate not in VALID_RATES:
             raise AudioError(f"rate must be one of {VALID_RATES}, got {self.rate}")
-        if not np.all(np.isfinite(samples)):
-            raise AudioError("samples must be finite")
+        with np.errstate(over="ignore"):  # a non-finite sample makes the energy one too
+            if not np.isfinite(np.dot(samples, samples)):
+                raise AudioError("samples and their energy must be finite")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:

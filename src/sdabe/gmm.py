@@ -101,31 +101,27 @@ class Gmm:
             self.covs[j] = 0.5 * (c + c.T) + ridge * np.eye(d)
 
     def regress(self, x_in: np.ndarray) -> np.ndarray:
-        """E[out-block | in-block = x_in] under the joint mixture for one
-        input vector, or one output row per input row; the in-block is the
-        first len(x_in) dimensions."""
+        """E[out-block | in-block = x] under the joint mixture for each row x of
+        x_in (a single vector is one row), the in-block being its first columns;
+        each component is conditioned once for all rows, each row on its own."""
         x_in = np.asarray(x_in, dtype=float)
-        if x_in.ndim == 2:
-            return np.array([self._regress_one(x) for x in x_in])
-        return self._regress_one(x_in.reshape(-1))
-
-    def _regress_one(self, x_in: np.ndarray) -> np.ndarray:
-        in_dim = len(x_in)
-        k, d = self.k, self.means.shape[1]
-        Xi = x_in[None, :]
-        logw = np.empty(k)
-        cond = np.empty((k, d - in_dim))
-        for j in range(k):
-            mu_i = self.means[j][:in_dim]
-            mu_o = self.means[j][in_dim:]
-            Sii = self.covs[j][:in_dim, :in_dim]
-            Soi = self.covs[j][in_dim:, :in_dim]
-            logw[j] = np.log(self.weights[j] + 1e-300) + _log_gauss(Xi, mu_i, Sii)[0]
-            cond[j] = mu_o + Soi @ np.linalg.solve(Sii, x_in - mu_i)
-        mx = logw.max()
-        post = np.exp(logw - mx)
-        post /= post.sum()
-        return post @ cond
+        X = x_in.reshape(-1, x_in.shape[-1])
+        n = X.shape[1]
+        L = np.linalg.cholesky(self.covs[:, :n, :n])
+        Linv = np.linalg.solve(L, np.eye(n))
+        gain = self.covs[:, n:, :n] @ Linv.transpose(0, 2, 1)  # S_oi S_ii^-1 = gain L^-1
+        logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+        logc = np.log(self.weights + 1e-300) - 0.5 * (n * np.log(2 * np.pi) + logdet)
+        # the rows meet the model only in elementwise products summed in a fixed
+        # order, so each output row is its own (a BLAS product over rows is not)
+        diff = X - self.means[:, None, :n]
+        white = sum(diff[:, :, m, None] * Linv[:, None, :, m] for m in range(n))  # L^-1 diff
+        cond = self.means[:, None, n:] + sum(white[:, :, m, None] * gain[:, None, :, m]
+                                             for m in range(n))
+        logw = logc[:, None] - 0.5 * np.sum(white**2, axis=2)
+        post = np.exp(logw - logw.max(axis=0))
+        out = sum(p[:, None] * c for p, c in zip(post, cond)) / sum(post)[:, None]
+        return out.reshape(*x_in.shape[:-1], -1)
 
     # ---- serialization ------------------------------------------------------
 

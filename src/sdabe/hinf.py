@@ -5,9 +5,9 @@ iff the associated extended symplectic pencil has no unit-circle eigenvalues.
 Synthesis exploits the estimation structure of the plant (the control enters
 the error as e = z - u), which reduces the problem to worst-case filtering
 solvable with a single indefinite Riccati equation per gamma.  The same
-structure gives a lower bound on the level any filter reaches (exogenous
-directions the measurement cannot see pass to the error untouched), and
-bisection levels below it are refused without a Riccati solve.
+structure bounds the level any filter reaches (`plant.build_generalized_plant`
+derives the bound from F and the half-band), and bisection levels below it
+are refused without a Riccati solve.
 
 Each Riccati equation is solved first by the structure-preserving doubling
 algorithm, which needs only n x n solves and products.  Its solution is kept
@@ -30,7 +30,7 @@ _NORM_GRID = 128  # frequency grid seeding the level-set iteration of hinf_norm
 _FFT_NORM_LEN = 2048  # impulse-response length of the fast closed-loop norm estimate
 _REG = 1e-6  # measurement-noise regularization making the filtering problem regular
 _REL_TOL = 1e-3  # bisection stops when the gamma bracket is this fraction of the open-loop level
-_LB_GRID = 128  # estimation lower bound bins pi j / _LB_GRID; divides _FFT_NORM_LEN / 2
+_LB_GRID = 128  # plant lower-bound bins pi j / _LB_GRID; divides _FFT_NORM_LEN / 2
 _SDA_MAX_ITER = 30  # doubling steps before solve_dare falls back to QZ
 _SDA_TOL = 1e-13  # doubling has converged when its H step is this fraction of H
 _SDA_STALL_AFTER = 8  # from this step on, a growing H step counts as stagnation
@@ -207,29 +207,6 @@ def _fft_peak(g: StateSpaceModel) -> float:
     return float(np.max(_sigma_max(H)))
 
 
-def _estimation_lower_bound(plant) -> float:
-    """Lower bound on the closed-loop norm of every filter, causal or not.
-
-    At each frequency, an exogenous direction v in the null space of the
-    measurement response Gy never reaches the filter: (Gz - K Gy) v = Gz v.
-    So sigma_max(Gz P) bounds |T|, with P the projector on that null space,
-    for any K.  Evaluated on the bins pi j / _LB_GRID, j = 0.._LB_GRID, which
-    are also bins of `_fft_peak`'s rfft; 0 when Gy has no null space.
-    """
-    nz, ny = plant.n_z, plant.n_y
-    nw = plant.B.shape[1]
-    if nw <= ny:
-        return 0.0
-    g = StateSpaceModel(
-        plant.A, plant.B, np.vstack([plant.C1, plant.C2]), np.vstack([plant.D11, plant.D21])
-    )
-    resp = g.freq_response(np.pi * np.arange(_LB_GRID + 1) / _LB_GRID)
-    _, _, Vh = np.linalg.svd(resp[:, nz:], full_matrices=True)
-    # the last nw - ny right singular vectors span (a subspace of) null(Gy)
-    null = Vh[:, ny:].conj().transpose(0, 2, 1)
-    return float(np.max(_sigma_max(resp[:, :nz] @ null)))
-
-
 def hinf_norm(g: StateSpaceModel, tol: float = 1e-8) -> float:
     """Peak singular value of g over the unit circle (g must be stable).
 
@@ -326,10 +303,11 @@ def hinf_synthesize(plant) -> HinfSolution:
     level (or that estimate, if lower), which bounds the achieved norm from
     below rather than certifying it.
 
-    Levels below LB / (1 + 2 _REL_TOL), with LB the estimation lower bound,
-    are refused without a Riccati solve.  LB bounds |T(w)| for every filter
-    at bins the FFT screen also evaluates, so at such a level any central
-    filter the Riccati test passed would show a screen estimate above
+    Levels below LB / (1 + 2 _REL_TOL), with LB = plant.lower_bound, are
+    refused without a Riccati solve (a plant without a known bound has LB = 0
+    and refuses none).  LB bounds |T(w)| for every filter at bins the FFT
+    screen also evaluates, so at such a level any central filter the
+    Riccati test passed would show a screen estimate above
     (1 + _REL_TOL) times the level, short of a truncation error of about
     _REL_TOL * LB, and be refused there too.  The level sequence is the
     same with or without the skip; a result can differ only where a level
@@ -350,7 +328,7 @@ def hinf_synthesize(plant) -> HinfSolution:
     )
     best_ctrl, best_gamma = zero_ctrl, gamma_hi
     # below this level the screen refuses every filter (see the docstring)
-    refused_below = _estimation_lower_bound(plant) / (1.0 + 2.0 * _REL_TOL)
+    refused_below = plant.lower_bound / (1.0 + 2.0 * _REL_TOL)
     lo, hi = 0.0, gamma_hi
     iters = 0
     while hi - lo > _REL_TOL * max(gamma_hi, 1e-12) and iters < 60:

@@ -28,6 +28,13 @@ it with 1/A(z) to apply it to the residue.
 The result is in estimation form: a two-channel reference z, a scalar
 measurement y, and the error e = z - u closed by the lifted controller
 u = K y.
+
+The same chain bounds the level of every filter, causal or not.  At slow-rate
+bin theta the lifted plant acts on the fast-rate aliases w1 = theta/2 and
+w2 = theta/2 + pi: the reference reads F there and the measurement L F, with L
+the zero-phase half-band.  The exogenous direction the measurement cannot see
+reaches the error untouched, so with Fi = |F(e^{j wi})| and Li = |L(e^{j wi})|
+no filter gets below LB(theta) = F1 F2 hypot(L1, L2) / hypot(L1 F1, L2 F2).
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import FirFilter
+from .hinf import _LB_GRID
 from .statespace import StateSpaceModel, lift2, tf_to_ss
 from .sysid import SignalModel
 
@@ -48,7 +56,8 @@ class PlantError(ValueError):
 @dataclass(frozen=True)
 class GeneralizedPlant:
     """Estimation-form plant: x+ = Ax + Bw, z = C1 x + D11 w, y = C2 x + D21 w,
-    closed by u = K y with error e = z - u."""
+    closed by u = K y with error e = z - u; no filter gets the closed-loop norm
+    below `lower_bound` (0.0: no bound known)."""
 
     A: np.ndarray
     B: np.ndarray
@@ -56,6 +65,7 @@ class GeneralizedPlant:
     D11: np.ndarray
     C2: np.ndarray
     D21: np.ndarray
+    lower_bound: float = 0.0
 
     @property
     def n(self) -> int:
@@ -101,8 +111,21 @@ def _kept_lags(taps: np.ndarray, q: int) -> np.ndarray:
     return lags[[np.any((read >= j) & (read % 2 == j % 2)) for j in lags]]
 
 
+def _estimation_lower_bound(F: SignalModel, taps: np.ndarray, q: int) -> float:
+    """Max of LB(theta) (module docstring) over the FFT screen's bins
+    pi j / _LB_GRID, j = 0.._LB_GRID; a bin reading 0/0 contributes 0."""
+    half = np.pi * np.arange(_LB_GRID + 1) / (2 * _LB_GRID)  # theta / 2
+    w = np.concatenate([half, half + np.pi])
+    zinv = np.exp(-1j * w)
+    f1, f2 = np.abs(np.polyval(F.num[::-1], zinv) / np.polyval(F.den[::-1], zinv)).reshape(2, -1)
+    l1, l2 = np.abs(np.cos(np.outer(w, np.arange(len(taps)) - q)) @ taps).reshape(2, -1)
+    den = np.hypot(l1 * f1, l2 * f2)
+    lb = np.divide(f1 * f2 * np.hypot(l1, l2), den, out=np.zeros_like(den), where=den > 0)
+    return float(np.max(lb))
+
+
 def build_generalized_plant(F: SignalModel, lpf: FirFilter) -> GeneralizedPlant:
-    """Assemble the lifted, causalized plant from a frame's signal model."""
+    """Assemble the lifted, causalized plant and its lower bound from a frame's signal model."""
     if lpf.causal:
         raise PlantError("plant needs the zero-phase LPF")
     q = lpf.half_delay_q
@@ -116,7 +139,7 @@ def build_generalized_plant(F: SignalModel, lpf: FirFilter) -> GeneralizedPlant:
     C = g.C[:, keep]
     return GeneralizedPlant(
         A=g.A[np.ix_(keep, keep)], B=g.B[keep], C1=C[[0, 2]], D11=g.D[[0, 2]],
-        C2=C[1:2], D21=g.D[1:2],
+        C2=C[1:2], D21=g.D[1:2], lower_bound=_estimation_lower_bound(F, lpf.taps, q),
     )
 
 

@@ -101,3 +101,16 @@ def test_wav_write_is_deterministic(tmp_path):
     write_wav(p1, AudioBuffer(x, 8000))
     write_wav(p2, AudioBuffer(x, 8000))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_buffer_refuses_samples_whose_energy_overflows():
+    # 800 samples at 1e200 are finite but their sum of squares is not
+    with pytest.raises(AudioError, match="energy"):
+        AudioBuffer(np.full(800, 1e200), 16000)
+    assert len(AudioBuffer(np.full(800, 1e150), 16000)) == 800
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_buffer_refuses_non_finite_samples(bad):
+    with pytest.raises(AudioError, match="finite"):
+        AudioBuffer(np.array([0.5, bad, 0.25]), 8000)

@@ -125,3 +125,28 @@ def test_regress_gives_one_row_per_input_row():
         assert out.shape == (rows, 3)
         for x, y in zip(X, out):
             assert np.array_equal(g.regress(x), y)
+
+
+def _regress_row(g, x):
+    """E[out | in = x] for one row, conditioning each component on its own."""
+    n = len(x)
+    logw, cond = np.empty(g.k), np.empty((g.k, g.means.shape[1] - n))
+    for j in range(g.k):
+        mu, S = g.means[j], g.covs[j]
+        diff = x - mu[:n]
+        logw[j] = (np.log(g.weights[j]) - 0.5 * np.linalg.slogdet(2 * np.pi * S[:n, :n])[1]
+                   - 0.5 * diff @ np.linalg.solve(S[:n, :n], diff))
+        cond[j] = mu[n:] + S[n:, :n] @ np.linalg.solve(S[:n, :n], diff)
+    post = np.exp(logw - logw.max())
+    return post @ cond / post.sum()
+
+
+def test_regress_matches_the_per_row_formula():
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((600, 9)) @ rng.standard_normal((9, 9))
+    g = Gmm(6, seed=0).fit(data, iters=20)
+    X = data[:40, :4] + 0.3 * rng.standard_normal((40, 4))
+    ref = np.array([_regress_row(g, x) for x in X])
+    tol = {"rtol": 1e-12, "atol": 1e-12 * np.max(np.abs(ref))}
+    np.testing.assert_allclose(g.regress(X), ref, **tol)
+    np.testing.assert_allclose(g.regress(X[7]), ref[7], **tol)

@@ -1,5 +1,6 @@
 """H-infinity norm computation, Riccati solves, and filter synthesis."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -10,11 +11,11 @@ import sdabe.hinf as hinf
 from conftest import random_stable_ss
 from sdabe.audio import frame_signal
 from sdabe.corpus import synth_utterance
-from sdabe.hinf import (HinfError, _estimation_lower_bound, _sigma_max, hinf_norm, hinf_synthesize,
-                        solve_dare)
-from sdabe.plant import GeneralizedPlant, build_generalized_plant, closed_loop, open_loop_error
+from sdabe.hinf import HinfError, _sigma_max, hinf_norm, hinf_synthesize, solve_dare
+from sdabe.plant import (GeneralizedPlant, _estimation_lower_bound, build_generalized_plant,
+                         closed_loop, open_loop_error)
 from sdabe.statespace import StateSpaceModel, tf_to_ss
-from sdabe.sysid import prony_fit
+from sdabe.sysid import SignalModel, prony_fit
 
 
 def test_norm_of_first_order_lag():
@@ -125,41 +126,47 @@ def utterance_plants():
     return [build_generalized_plant(m, lpf) for m in models if not m.degenerate]
 
 
-def _assert_lower_bound_sound(plant):
-    lb = _estimation_lower_bound(plant)
-    sol = hinf_synthesize(plant)
-    assert 0.0 <= lb <= hinf_norm(open_loop_error(plant)) * (1.0 + 1e-12)
-    assert lb <= hinf_norm(closed_loop(plant, sol.controller)) * (1.0 + 1e-12)
-    return lb
+def _null_space_bound(plant):
+    """The bound from the lifted plant alone: at each bin, an exogenous
+    direction v in the null space of the measurement response Gy never
+    reaches the filter, (Gz - K Gy) v = Gz v, so sigma_max(Gz P) bounds |T|
+    for every K, with P the projector on that null space."""
+    nz, ny = plant.n_z, plant.n_y
+    g = StateSpaceModel(
+        plant.A, plant.B, np.vstack([plant.C1, plant.C2]), np.vstack([plant.D11, plant.D21])
+    )
+    resp = g.freq_response(np.pi * np.arange(hinf._LB_GRID + 1) / hinf._LB_GRID)
+    _, _, Vh = np.linalg.svd(resp[:, nz:], full_matrices=True)
+    null = Vh[:, ny:].conj().transpose(0, 2, 1)
+    return float(np.max(_sigma_max(resp[:, :nz] @ null)))
 
 
-def test_estimation_lower_bound_is_sound(rng, utterance_plants):
-    # criterion-1-style plants, with one (n_w = 2) and two (n_w = 3)
-    # exogenous directions the measurement cannot see at each frequency
-    for inputs in (2, 2, 2, 3, 3, 3):
-        sys = random_stable_ss(rng, int(rng.integers(2, 7)), inputs=inputs, outputs=2)
-        plant = GeneralizedPlant(
-            A=sys.A, B=sys.B, C1=sys.C[:1], D11=0.2 * rng.standard_normal((1, inputs)),
-            C2=sys.C[1:], D21=0.2 * rng.standard_normal((1, inputs)),
-        )
-        assert _assert_lower_bound_sound(plant) > 0.0
+def test_closed_form_bound_matches_the_null_space_bound(utterance_plants):
+    assert len(utterance_plants) > 4
+    for plant in utterance_plants:
+        assert plant.lower_bound == pytest.approx(_null_space_bound(plant), rel=1e-12)
+
+
+def test_estimation_lower_bound_is_sound(utterance_plants):
     for plant in utterance_plants[:4]:
-        assert _assert_lower_bound_sound(plant) > 0.0
+        sol = hinf_synthesize(plant)
+        assert 0.0 < plant.lower_bound <= hinf_norm(open_loop_error(plant)) * (1.0 + 1e-12)
+        assert plant.lower_bound <= hinf_norm(closed_loop(plant, sol.controller)) * (1.0 + 1e-12)
 
 
-def test_estimation_lower_bound_of_measurable_target_is_zero(rng):
-    plant = _measurable_target_plant(rng, inputs=3)
-    open_norm = hinf_norm(open_loop_error(plant))
-    assert _estimation_lower_bound(plant) <= 1e-12 * open_norm
+def test_bound_where_the_signal_model_vanishes_at_both_aliases():
+    # F = (1 - z^-2)/(1 - 0.5 z^-1) is zero at DC and at pi, the two aliases
+    # of slow-rate bin 0, where the closed form reads 0/0
+    from sdabe.filters import design_fixed_filters
 
-
-def test_estimation_lower_bound_of_useless_measurement_is_open_loop_peak(rng):
-    # the measurement sees only the noise input, so the signal input is
-    # invisible to every filter and the bound is the open-loop peak on the grid
-    plant = _useless_measurement_plant(rng)
-    w = np.pi * np.arange(hinf._LB_GRID + 1) / hinf._LB_GRID
-    peak = np.max(np.linalg.norm(open_loop_error(plant).freq_response(w), 2, axis=(1, 2)))
-    assert _estimation_lower_bound(plant) == pytest.approx(peak, rel=1e-12)
+    lpf, _ = design_fixed_filters()
+    plant = build_generalized_plant(SignalModel([1.0, 0.0, -1.0], [1.0, -0.5], 0.0), lpf)
+    assert np.isfinite(plant.lower_bound) and plant.lower_bound >= 0.0
+    sol = hinf_synthesize(plant)
+    assert np.isfinite(sol.gamma)
+    # F = 0 makes every bin exactly 0/0, and every bin contributes 0
+    zero = SignalModel([0.0, 0.0], [1.0, -0.5], 0.0)
+    assert _estimation_lower_bound(zero, lpf.taps, lpf.half_delay_q) == 0.0
 
 
 def test_skipping_levels_below_the_bound_changes_nothing(utterance_plants, monkeypatch):
@@ -171,11 +178,13 @@ def test_skipping_levels_below_the_bound_changes_nothing(utterance_plants, monke
 
     monkeypatch.setattr(hinf, "solve_dare", counted_dare)
     solutions, dares = {}, {}
-    for name in ("skip", "solve_all"):
-        if name == "solve_all":
-            monkeypatch.setattr(hinf, "_estimation_lower_bound", lambda plant: 0.0)
+    plants = {
+        "skip": utterance_plants,
+        "solve_all": [dataclasses.replace(plant, lower_bound=0.0) for plant in utterance_plants],
+    }
+    for name, group in plants.items():
         calls["dare"] = 0
-        solutions[name] = [hinf_synthesize(plant) for plant in utterance_plants]
+        solutions[name] = [hinf_synthesize(plant) for plant in group]
         dares[name] = calls["dare"]
     for got, ref in zip(solutions["skip"], solutions["solve_all"]):
         assert got.gamma == ref.gamma and got.iterations == ref.iterations
