@@ -1,7 +1,11 @@
 """Batch front end.
 
 Commands: synth-corpus, train, extend, evaluate.  Flags override config-file
-values (a section's own value over [DEFAULT]), which override defaults.
+values (a section's own value over [DEFAULT]), which override defaults.  Each
+setting has its default and its conversion in its flag's `add_argument`; a
+config value becomes that flag's default and is converted and range-checked
+by the same `type=`, so a bad value is refused alike from either side, with
+a message that names the flag.  Config keys that are not settings are ignored.
 Exit codes: 0 ok, 1 usage or empty input (a file at the wrong sample rate
 included), 2 missing resource, 3 numerical failure.
 """
@@ -10,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -47,73 +53,53 @@ def _load_config(path) -> dict[str, str]:
     return flat
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config-file section > config-file [DEFAULT] > defaults"""
-    out = dict(defaults)
-    if args.config:
-        out.update(_load_config(args.config))
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
+def _checked(convert, wanted: str, ok=lambda value: True):
+    """A `type=` callable for a setting: `convert(text)` if `ok` holds for
+    it, else an error that quotes the text and says what is `wanted`."""
+    def check(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (KeyError, ValueError):
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {wanted}")
+    return check
 
 
-class ConfigError(Exception):
-    """A setting whose value its key does not accept (exit 1)."""
+# configparser's words: 1/yes/true/on and 0/no/false/off
+_boolean = _checked(lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+                    "one of 1/yes/true/on, 0/no/false/off")
+_seed = _checked(int, "an integer >= 0", lambda value: value >= 0)
+_count = _checked(int, "an integer >= 1", lambda value: value >= 1)
+_duration = _checked(float, "a finite duration of at least one 16 kHz sample (1/16000 s)",
+                     lambda value: math.isfinite(value) and value * 16000 >= 1)
+_rate = _checked(float, "a finite number > 0", lambda value: math.isfinite(value) and value > 0)
+
+# the settings a config file may set; it may name other keys, which are ignored
+_SETTINGS = ("n_files", "duration", "epochs", "batch_size", "learning_rate",
+             "mode", "filter_form", "addition", "gain_adjust", "nb_only")
 
 
-def _boolean(text) -> bool:
-    """configparser's words: 1/yes/true/on and 0/no/false/off."""
-    return configparser.ConfigParser.BOOLEAN_STATES[str(text).lower()]
-
-
-def _value(opts: dict, key: str, convert):
-    try:
-        return convert(opts[key])
-    except (KeyError, ValueError):
-        raise ConfigError(f"bad value for {key}: {opts[key]!r}") from None
-
-
-def _ext_config(opts: dict) -> ExtensionConfig:
-    try:
-        return ExtensionConfig(
-            mode=str(opts["mode"]),
-            filter_form=str(opts["filter_form"]),
-            addition=str(opts["addition"]),
-            gain_adjust=_value(opts, "gain_adjust", _boolean),
-            nb_only=_value(opts, "nb_only", _boolean),
-        )
-    except PipelineError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-_EXT_DEFAULTS = {
-    "mode": "regressor",
-    "filter_form": "fir21",
-    "addition": "dft",
-    "gain_adjust": "true",
-    "nb_only": "false",
-}
+def _ext_config(args: argparse.Namespace, **over) -> ExtensionConfig:
+    """The extension settings parsed into `args`, with `over` replacing some."""
+    parsed = {field.name: getattr(args, field.name) for field in dataclasses.fields(ExtensionConfig)}
+    return ExtensionConfig(**{**parsed, **over})
 
 
 def _add_ext_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--mode", choices=["regressor", "oracle", "fold"])
-    sp.add_argument("--filter-form", choices=["fir21", "iir"])
-    sp.add_argument("--addition", choices=["dft", "time"])
-    sp.add_argument("--gain-adjust", choices=["true", "false"])
-    sp.add_argument("--nb-only", choices=["true", "false"])
+    sp.add_argument("--mode", choices=["regressor", "oracle", "fold"], default="regressor")
+    sp.add_argument("--filter-form", choices=["fir21", "iir"], default="fir21")
+    sp.add_argument("--addition", choices=["dft", "time"], default="dft")
+    sp.add_argument("--gain-adjust", type=_boolean, default=True)
+    sp.add_argument("--nb-only", type=_boolean, default=False)
 
 
 def cmd_synth_corpus(args) -> int:
     from .corpus import generate_corpus
 
-    opts = _resolve(args, {"n_files": 10, "duration": 0.2})
-    manifest = generate_corpus(
-        args.out_dir, _value(opts, "n_files", int), seed=args.seed,
-        duration=_value(opts, "duration", float),
-    )
-    _progress(f"wrote {opts['n_files']} file pairs, manifest {manifest}")
+    manifest = generate_corpus(args.out_dir, args.n_files, seed=args.seed, duration=args.duration)
+    _progress(f"wrote {args.n_files} file pairs, manifest {manifest}")
     return EXIT_OK
 
 
@@ -137,7 +123,6 @@ def cmd_train(args) -> int:
     if not Path(args.manifest).exists():
         _progress(f"missing manifest: {args.manifest}")
         return EXIT_MISSING
-    opts = _resolve(args, {"epochs": 50, "batch_size": 180, "learning_rate": 0.01})
     try:
         pairs, skipped = collect_pairs(args.manifest)
     except (AudioError, MetricsError) as exc:
@@ -148,12 +133,8 @@ def cmd_train(args) -> int:
             model = train_gmm(pairs, components=args.gmm, seed=args.seed)
             history = model.net.loglik_history
         else:
-            cfg = MlpConfig(
-                epochs=_value(opts, "epochs", int),
-                batch_size=_value(opts, "batch_size", int),
-                learning_rate=_value(opts, "learning_rate", float),
-                seed=args.seed,
-            )
+            cfg = MlpConfig(epochs=args.epochs, batch_size=args.batch_size,
+                            learning_rate=args.learning_rate, seed=args.seed)
             if len(pairs) < cfg.batch_size:
                 _progress(f"only {len(pairs)} training pairs (need {cfg.batch_size}); {skipped} skipped")
                 return EXIT_USAGE
@@ -198,10 +179,7 @@ def _file_predictor(configs, model, ref: AudioBuffer | None, lpf, hpf):
 
 
 def cmd_extend(args) -> int:
-    opts = _resolve(args, dict(_EXT_DEFAULTS))
-    if args.oracle:
-        opts["mode"] = "oracle"
-    cfg = _ext_config(opts)
+    cfg = _ext_config(args, mode="oracle" if args.oracle else args.mode)
     lpf, hpf = design_fixed_filters()
     if not Path(args.nb_wav).exists():
         _progress(f"missing input: {args.nb_wav}")
@@ -224,10 +202,10 @@ def cmd_extend(args) -> int:
 
 
 _COMPARE_CONFIGS = [
-    ("dft_gain", dict(addition="dft", gain_adjust="true", nb_only="false")),
-    ("time_gain", dict(addition="time", gain_adjust="true", nb_only="false")),
-    ("time_nogain", dict(addition="time", gain_adjust="false", nb_only="false")),
-    ("nb_only", dict(nb_only="true")),
+    ("dft_gain", dict(addition="dft", gain_adjust=True, nb_only=False)),
+    ("time_gain", dict(addition="time", gain_adjust=True, nb_only=False)),
+    ("time_nogain", dict(addition="time", gain_adjust=False, nb_only=False)),
+    ("nb_only", dict(nb_only=True)),
 ]
 
 
@@ -269,11 +247,10 @@ def cmd_evaluate(args) -> int:
     if not entries:
         _progress("empty manifest")
         return EXIT_USAGE
-    opts = _resolve(args, dict(_EXT_DEFAULTS))
     if args.compare:
-        configs = [_ext_config({**opts, "mode": "oracle", **over}) for _, over in _COMPARE_CONFIGS]
+        configs = [_ext_config(args, mode="oracle", **over) for _, over in _COMPARE_CONFIGS]
     else:
-        configs = [_ext_config(opts)]
+        configs = [_ext_config(args)]
     lpf, hpf = design_fixed_filters()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -305,25 +282,29 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The command line.  Each of `_SETTINGS` that `config` (a flattened
+    config file) names takes its config value as the default of its flag,
+    and argparse converts a string default with the flag's own type=, so a
+    config value is checked exactly like the flag."""
     ap = argparse.ArgumentParser(prog="sdabe")
     ap.add_argument("--config", default=None)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_seed, default=0)
     sub = ap.add_subparsers(dest="command")
 
     sp = sub.add_parser("synth-corpus")
     sp.add_argument("out_dir")
-    sp.add_argument("--n-files", type=int, dest="n_files")
-    sp.add_argument("--duration", type=float)
+    sp.add_argument("--n-files", type=_count, default=10)
+    sp.add_argument("--duration", type=_duration, default=0.2)
     sp.set_defaults(func=cmd_synth_corpus)
 
     sp = sub.add_parser("train")
     sp.add_argument("manifest")
     sp.add_argument("model_out")
     sp.add_argument("--gmm", type=int, default=0)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--learning-rate", type=float, dest="learning_rate")
+    sp.add_argument("--epochs", type=_count, default=50)
+    sp.add_argument("--batch-size", type=_count, default=180)
+    sp.add_argument("--learning-rate", type=_rate, default=0.01)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("extend")
@@ -341,20 +322,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--compare", action="store_true")
     _add_ext_flags(sp)
     sp.set_defaults(func=cmd_evaluate)
+
+    if config:
+        for sp in sub.choices.values():  # every setting has a default: None means "no such flag"
+            sp.set_defaults(**{key: config[key] for key in _SETTINGS
+                               if key in config and sp.get_default(key) is not None})
     return ap
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        ap = build_parser()
+        args = ap.parse_args(argv)
+        if args.config:
+            ap = build_parser(_load_config(args.config))
+            args = ap.parse_args(argv)
+        if not getattr(args, "func", None):
+            ap.print_usage(sys.stderr)
+            return EXIT_USAGE
+        return args.func(args)
     except SystemExit as exc:  # argparse's usage error is 2, here a missing resource
         return EXIT_USAGE if exc.code else EXIT_OK
-    if not getattr(args, "func", None):
-        build_parser().print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
-    except ConfigError as exc:
+    except (configparser.Error, PipelineError) as exc:
+        # an unreadable config file, or a setting that ExtensionConfig refuses
+        # (argparse checks no choices on a config value)
         _progress(f"bad setting: {exc}")
         return EXIT_USAGE
     except FileNotFoundError as exc:

@@ -73,7 +73,7 @@ def synth_utterance(rng: np.random.Generator, duration: float = 0.2) -> AudioBuf
     ramp = min(64, n // 4)
     env = np.ones(n)
     env[:ramp] = np.linspace(0.0, 1.0, ramp)
-    env[-ramp:] = np.linspace(1.0, 0.0, ramp)
+    env[n - ramp :] = np.linspace(1.0, 0.0, ramp)
     y *= env
     peak = np.max(np.abs(y))
     if peak > 0:

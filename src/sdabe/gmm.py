@@ -4,6 +4,7 @@ conditional-expectation regression from the narrowband block."""
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
 COV_REG = 1e-6
 
@@ -26,7 +27,7 @@ def _log_gauss(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     d = X.shape[1]
     L = np.linalg.cholesky(cov)
     diff = X - mean
-    sol = np.linalg.solve(L, diff.T)
+    sol = sla.solve_triangular(L, diff.T, lower=True)
     maha = np.sum(sol**2, axis=0)
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     return -0.5 * (d * np.log(2 * np.pi) + logdet + maha)

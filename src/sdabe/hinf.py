@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .statespace import StateSpaceModel
+from .statespace import StateSpaceModel, static_gain
 
 _UNIT_CIRCLE_TOL = 1e-7
 _NORM_GRID = 128  # frequency grid seeding the level-set iteration of hinf_norm
@@ -113,17 +113,14 @@ def _is_stabilizing(A, B, Q, R, S, X) -> bool:
     return bool(np.max(np.abs(np.linalg.eigvals(A - B @ L))) < 1.0)
 
 
-def solve_dare(A, B, Q, R, S):
-    """Stabilizing solution of X = A'XA - (A'XB+S)(R+B'XB)^-1(B'XA+S') + Q.
+def solve_dare(A, B, Q, R, S) -> np.ndarray | None:
+    """Stabilizing solution of X = A'XA - (A'XB+S)(R+B'XB)^-1(B'XA+S') + Q,
+    or None when there is none.
 
     R may be indefinite (needed for the game-type Riccati equations of the
-    bounded-real lemma).  Returns (X, n_stable) where n_stable is the number
-    of inside-unit-circle eigenvalues of the extended pencil.
-
-    The doubling iteration `_solve_dare_sda` runs first.  Its X is returned,
-    with n_stable = n, only when it converged, its scaled residual is at most
-    _DARE_RESIDUAL_TOL and its closed loop is stable: the closed-loop
-    eigenvalues are then the n stable pencil eigenvalues.  Otherwise
+    bounded-real lemma).  The doubling iteration `_solve_dare_sda` runs
+    first.  Its X is returned only when it converged, its scaled residual is
+    at most _DARE_RESIDUAL_TOL and its closed loop is stable.  Otherwise
     (including a singular step and n = 0) the extended-pencil QZ route
     `_solve_dare_qz` decides, as it did alone before.
     """
@@ -133,30 +130,33 @@ def solve_dare(A, B, Q, R, S):
         try:
             X = _solve_dare_sda(A, B, Q, R, S)
             if X is not None and _is_stabilizing(A, B, Q, R, S, X):
-                return X, B.shape[0]
+                return X
         except np.linalg.LinAlgError:
             pass
     return _solve_dare_qz(A, B, Q, R, S)
 
 
-def _solve_dare_qz(A, B, Q, R, S):
-    """`solve_dare` by the ordered QZ decomposition of the extended pencil."""
+def _solve_dare_qz(A, B, Q, R, S) -> np.ndarray | None:
+    """`solve_dare` by the ordered QZ decomposition of the extended pencil.
+    None when LAPACK fails to decompose or reorder the pencil, when it does not
+    have n eigenvalues inside the unit circle, or when the basis U1 of their
+    deflating subspace has a condition number above 1e12."""
     n = B.shape[0]
     M, N = _extended_pencil(A, B, Q, R, S)
     try:
         AA, BB, alpha, beta, _, Z = sla.ordqz(M, N, sort="iuc")
-    except ValueError as exc:
-        # LAPACK refuses to reorder an ill-conditioned pencil
-        raise np.linalg.LinAlgError(str(exc)) from exc
+    except (ValueError, np.linalg.LinAlgError):
+        return None
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.abs(alpha) / np.abs(beta)
-    n_stable = int(np.sum(lam[np.isfinite(lam)] < 1.0))
+    if int(np.sum(lam[np.isfinite(lam)] < 1.0)) != n:
+        return None
     U = Z[:, :n]
     U1 = U[:n, :]
     if n and np.linalg.cond(U1) > 1e12:
-        raise np.linalg.LinAlgError("singular deflating-subspace basis")
+        return None
     X = U[n : 2 * n, :] @ np.linalg.inv(U1) if n else np.zeros((0, 0))
-    return 0.5 * (X + X.T), n_stable
+    return 0.5 * (X + X.T)
 
 
 def _unit_circle_frequencies(g: StateSpaceModel, gamma: float) -> np.ndarray:
@@ -172,11 +172,8 @@ def _unit_circle_frequencies(g: StateSpaceModel, gamma: float) -> np.ndarray:
     return np.unique(np.abs(np.angle(on_circle)))
 
 
-def _grid_peak(g: StateSpaceModel, w: np.ndarray) -> tuple[float, float]:
-    resp = g.freq_response(w)
-    sv = np.linalg.norm(resp, ord=2, axis=(1, 2))
-    i = int(np.argmax(sv))
-    return float(sv[i]), float(w[i])
+def _grid_peak(g: StateSpaceModel, w: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(g.freq_response(w), ord=2, axis=(1, 2))))
 
 
 def _sigma_max(H: np.ndarray) -> np.ndarray:
@@ -221,7 +218,7 @@ def hinf_norm(g: StateSpaceModel, tol: float = 1e-8) -> float:
     if g.n == 0:
         return float(np.linalg.norm(g.D, ord=2))
     w0 = np.linspace(0.0, np.pi, _NORM_GRID)
-    lb, _ = _grid_peak(g, w0)
+    lb = _grid_peak(g, w0)
     lb = max(lb, float(np.linalg.norm(g.D, ord=2)))
     if lb == 0.0:
         lb = 1e-300
@@ -231,7 +228,7 @@ def hinf_norm(g: StateSpaceModel, tol: float = 1e-8) -> float:
         if len(freqs) == 0:
             return lb * (1.0 + max(tol, 1e-12))
         cand = np.concatenate([freqs, 0.5 * (freqs[:-1] + freqs[1:]), [0.0, np.pi]])
-        peak, _ = _grid_peak(g, np.unique(cand))
+        peak = _grid_peak(g, np.unique(cand))
         if peak <= lb * (1.0 + max(tol, 1e-12)):
             # level set no longer improves; accept certified upper level
             return gamma
@@ -274,11 +271,8 @@ def _feasible(plant, gamma: float) -> StateSpaceModel | None:
     Rbar = Dbar @ Dbar.T + sla.block_diag(
         _REG * np.eye(ny), -(gamma**2) * np.eye(nz)
     )
-    try:
-        P, n_stable = solve_dare(A.T, Cbar.T, B @ B.T, Rbar, B @ Dbar.T)
-    except np.linalg.LinAlgError:
-        return None
-    if n_stable != n:
+    P = solve_dare(A.T, Cbar.T, B @ B.T, Rbar, B @ Dbar.T)
+    if P is None:
         return None
     if n and np.min(np.linalg.eigvalsh(P)) < -1e-8 * max(1.0, np.max(np.abs(P))):
         return None
@@ -319,13 +313,7 @@ def hinf_synthesize(plant) -> HinfSolution:
     if not g_open.is_stable():
         raise HinfError("exogenous-to-error path must be stable")
     gamma_hi = hinf_norm(g_open, tol=1e-6)
-    ny = plant.C2.shape[0]
-    zero_ctrl = StateSpaceModel(
-        np.zeros((0, 0)),
-        np.zeros((0, ny)),
-        np.zeros((plant.C1.shape[0], 0)),
-        np.zeros((plant.C1.shape[0], ny)),
-    )
+    zero_ctrl = static_gain(np.zeros((plant.C1.shape[0], plant.C2.shape[0])))
     best_ctrl, best_gamma = zero_ctrl, gamma_hi
     # below this level the screen refuses every filter (see the docstring)
     refused_below = plant.lower_bound / (1.0 + 2.0 * _REL_TOL)

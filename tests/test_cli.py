@@ -322,7 +322,7 @@ def test_parser_accepts_extension_flags():
     )
     assert args.mode == "fold"
     assert args.addition == "time"
-    assert args.gain_adjust == "false"
+    assert args.gain_adjust is False
 
 
 def _write_pcm(path, channels, sampwidth, rate=8000, frames=800):
@@ -479,17 +479,98 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, key, value, command):
     }[command]
     assert main(["--config", str(cfg), *argv]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert key in err and value in err
+    assert key.replace("_", "-") in err and value in err  # the key as its flag spells it
     assert not (tmp_path / "out.wav").exists()
 
 
 def test_config_booleans_use_configparser_words():
-    base = {"mode": "fold", "filter_form": "fir21", "addition": "dft"}
+    argv = ["extend", "a.wav", "b.wav", "--mode", "fold"]
     for words, value in [(("1", "yes", "true", "on", "On"), True),
                          (("0", "no", "false", "off", "OFF"), False)]:
         for word in words:
-            cfg = _ext_config({**base, "gain_adjust": word, "nb_only": word})
+            args = build_parser({"gain_adjust": word, "nb_only": word}).parse_args(argv)
+            cfg = _ext_config(args)
             assert (cfg.gain_adjust, cfg.nb_only) == (value, value), word
+
+
+_OUT_OF_RANGE = [("synth-corpus", "n_files", "-2"), ("synth-corpus", "n_files", "0"),
+                 ("synth-corpus", "duration", "0"), ("synth-corpus", "duration", "nan"),
+                 ("synth-corpus", "duration", "inf"), ("synth-corpus", "duration", "0.00005"),
+                 ("train", "epochs", "0"), ("train", "batch_size", "0"),
+                 ("train", "learning_rate", "0"), ("train", "learning_rate", "-0.01"),
+                 ("train", "learning_rate", "nan")]
+
+
+@pytest.mark.parametrize(
+    "source, command, key, value",
+    [(source, *case) for case in _OUT_OF_RANGE for source in ("flag", "config")]
+    + [("flag", "synth-corpus", "seed", "-1"), ("flag", "train", "seed", "-1")],
+)
+def test_out_of_range_setting_is_usage_error(tmp_path, capsys, source, command, key, value):
+    flag = "--" + key.replace("_", "-")
+    if source == "config":
+        cfg = tmp_path / "sdabe.ini"
+        cfg.write_text(f"[sdabe]\n{key} = {value}\n")
+        before, after = ["--config", str(cfg)], []
+    elif key == "seed":
+        before, after = [flag, value], []
+    else:
+        before, after = [], [flag, value]
+    out = tmp_path / "out"
+    # a missing manifest would be exit 2: the setting is refused before it is read
+    positional = {"synth-corpus": [str(out)],
+                  "train": [str(tmp_path / "none.tsv"), str(tmp_path / "m.json")]}[command]
+    assert main([*before, command, *positional, *after]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {value!r}" in err
+    assert not out.exists()
+
+
+_SETTING_VALUES = {
+    "n_files": ("synth-corpus", "3"), "duration": ("synth-corpus", "0.05"),
+    "epochs": ("train", "7"), "batch_size": ("train", "16"), "learning_rate": ("train", "0.002"),
+    "mode": ("extend", "fold"), "filter_form": ("extend", "iir"), "addition": ("evaluate", "time"),
+    "gain_adjust": ("evaluate", "off"), "nb_only": ("extend", "yes"),
+}
+_POSITIONAL = {"synth-corpus": ["out"], "train": ["m.tsv", "m.json"],
+               "extend": ["nb.wav", "out.wav"], "evaluate": ["m.tsv", "out"]}
+
+
+@pytest.mark.parametrize("key", list(_SETTING_VALUES))
+def test_config_value_parses_like_its_flag(tmp_path, key):
+    command, value = _SETTING_VALUES[key]
+    argv = [command, *_POSITIONAL[command]]
+    cfg = tmp_path / "sdabe.ini"
+    cfg.write_text(f"[DEFAULT]\n{key} = {value}\n")
+    from_config = build_parser(_load_config(cfg)).parse_args(argv)
+    from_flag = build_parser().parse_args([*argv, "--" + key.replace("_", "-"), value])
+    assert from_config == from_flag
+    assert getattr(from_flag, key) != getattr(build_parser().parse_args(argv), key)
+
+
+def test_config_keys_that_are_not_settings_are_ignored(tmp_path):
+    cfg = tmp_path / "sdabe.ini"
+    cfg.write_text("[DEFAULT]\ncompare = true\nmodel = x\nseed = 5\n")
+    for command in _POSITIONAL:
+        argv = [command, *_POSITIONAL[command]]
+        assert build_parser(_load_config(cfg)).parse_args(argv) == build_parser().parse_args(argv)
+    corpus = tmp_path / "corpus"
+    assert main(["synth-corpus", str(corpus), "--n-files", "2", "--duration", "0.05"]) == EXIT_OK
+    manifest = str(corpus / "manifest.tsv")
+    reports = []
+    for before, res in [(["--config", str(cfg)], tmp_path / "config"), ([], tmp_path / "plain")]:
+        assert main([*before, "evaluate", manifest, str(res), "--mode", "fold"]) == EXIT_OK
+        reports.append((res / "report.txt").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "sdabe.ini"
+    cfg.write_text("n_files = 2\n")  # no section header
+    assert main(["--config", str(cfg), "synth-corpus", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "bad setting" in capsys.readouterr().err
+    assert main(["--config", str(tmp_path / "none.ini"), "synth-corpus", str(tmp_path / "out")]) == EXIT_MISSING
+    assert not (tmp_path / "out").exists()
 
 
 COMPARE_FLAGS = {

@@ -1,6 +1,7 @@
 """Synthetic utterance generator used by the evaluation harness."""
 
 import numpy as np
+import pytest
 
 from sdabe.audio import read_wav
 from sdabe.corpus import generate_corpus, synth_utterance
@@ -57,3 +58,11 @@ def test_different_seeds_differ(tmp_path):
     b1 = open(read_manifest(m1)[0][0], "rb").read()
     b2 = open(read_manifest(m2)[0][0], "rb").read()
     assert b1 != b2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_utterance_of_fewer_than_four_samples(n):
+    # too short for a fade, so the envelope is all ones
+    buf = synth_utterance(np.random.default_rng(0), duration=n / 16000)
+    assert len(buf) == n
+    assert np.all(np.isfinite(buf.samples))

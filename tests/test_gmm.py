@@ -1,8 +1,9 @@
 """Gaussian mixture fitting and conditional-expectation regression."""
 
 import numpy as np
+from scipy.stats import multivariate_normal
 
-from sdabe.gmm import Gmm
+from sdabe.gmm import Gmm, _log_gauss
 
 
 def test_loglik_monotone_nondecreasing():
@@ -18,6 +19,17 @@ def test_loglik_monotone_nondecreasing():
     hist = np.asarray(g.loglik_history)
     assert len(hist) >= 2
     assert np.all(np.diff(hist) >= -1e-8)
+
+
+def test_log_gauss_matches_scipy_logpdf():
+    rng = np.random.default_rng(7)
+    d = 5
+    M = rng.standard_normal((d, d))
+    cov = M @ M.T + 0.1 * np.eye(d)
+    mean = rng.standard_normal(d)
+    X = mean + 3.0 * rng.standard_normal((200, d))
+    ref = multivariate_normal(mean, cov).logpdf(X)
+    np.testing.assert_allclose(_log_gauss(X, mean, cov), ref, rtol=1e-12, atol=0.0)
 
 
 def test_single_component_conditional_is_linear_regression():
