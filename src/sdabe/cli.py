@@ -76,6 +76,14 @@ _duration = _checked(float, "a finite duration of at least one 16 kHz sample (1/
                      lambda value: math.isfinite(value) and value * 16000 >= 1)
 _rate = _checked(float, "a finite number > 0", lambda value: math.isfinite(value) and value > 0)
 
+
+def _choice(*names: str):
+    """A `type=` for a setting that takes one of `names`, with the usage
+    text that argparse's `choices=` would show."""
+    return dict(type=_checked(str, f"one of {', '.join(names)}", lambda value: value in names),
+                metavar="{" + ",".join(names) + "}")
+
+
 # the settings a config file may set; it may name other keys, which are ignored
 _SETTINGS = ("n_files", "duration", "epochs", "batch_size", "learning_rate",
              "mode", "filter_form", "addition", "gain_adjust", "nb_only")
@@ -88,9 +96,9 @@ def _ext_config(args: argparse.Namespace, **over) -> ExtensionConfig:
 
 
 def _add_ext_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--mode", choices=["regressor", "oracle", "fold"], default="regressor")
-    sp.add_argument("--filter-form", choices=["fir21", "iir"], default="fir21")
-    sp.add_argument("--addition", choices=["dft", "time"], default="dft")
+    sp.add_argument("--mode", **_choice("regressor", "oracle", "fold"), default="regressor")
+    sp.add_argument("--filter-form", **_choice("fir21", "iir"), default="fir21")
+    sp.add_argument("--addition", **_choice("dft", "time"), default="dft")
     sp.add_argument("--gain-adjust", type=_boolean, default=True)
     sp.add_argument("--nb-only", type=_boolean, default=False)
 
@@ -343,9 +351,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse's usage error is 2, here a missing resource
         return EXIT_USAGE if exc.code else EXIT_OK
-    except (configparser.Error, PipelineError) as exc:
-        # an unreadable config file, or a setting that ExtensionConfig refuses
-        # (argparse checks no choices on a config value)
+    except configparser.Error as exc:  # an unreadable config file
         _progress(f"bad setting: {exc}")
         return EXIT_USAGE
     except FileNotFoundError as exc:

@@ -6,6 +6,7 @@ rectifier, linear output layer, L2 weight decay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,23 @@ class Mlp:
     # ---- training -----------------------------------------------------------
 
     def fit(self, X: np.ndarray, Y: np.ndarray):
+        """Train in the dtype of `X` (`Y` should match it); the net is float64
+        again when `fit` returns.  Raises FloatingPointError once a batch's
+        loss or a parameter stops being finite."""
+        self._cast(X.dtype)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                self._train(X, Y)
+        finally:
+            self._cast(np.float64)
+        self.trained = True
+        return self
+
+    def _cast(self, dtype) -> None:
+        for key in self.TENSORS:
+            setattr(self, key, [p.astype(dtype, copy=False) for p in getattr(self, key)])
+
+    def _train(self, X: np.ndarray, Y: np.ndarray) -> None:
         cfg = self.cfg
         rng = np.random.default_rng(cfg.seed + 1)
         groups = [("W", self.W), ("b", self.b), ("gamma", self.gamma), ("beta", self.beta)]
@@ -124,7 +142,7 @@ class Mlp:
         t = 0
         N = X.shape[0]
         bs = min(cfg.batch_size, N)
-        for _ in range(cfg.epochs):
+        for epoch in range(cfg.epochs):
             order = rng.permutation(N)
             epoch_loss = 0.0
             n_batches = 0
@@ -133,6 +151,8 @@ class Mlp:
                 if len(idx) < 2 and len(idx) < N:
                     continue  # batch statistics need more than one sample
                 loss, grads = self.loss_and_grads(X[idx], Y[idx], train=True)
+                if not math.isfinite(loss):
+                    raise FloatingPointError(f"training loss {loss} in epoch {epoch}")
                 t += 1
                 for key, params in groups:
                     for i, p in enumerate(params):
@@ -144,8 +164,6 @@ class Mlp:
                 epoch_loss += loss
                 n_batches += 1
             self.loss_history.append(epoch_loss / max(n_batches, 1))
-        self.trained = True
-        return self
 
     # ---- serialization ------------------------------------------------------
 

@@ -43,7 +43,8 @@ def _stack_pairs(pairs: list[FeaturePair]):
 
 
 def train_mlp(pairs: list[FeaturePair], cfg: MlpConfig | None = None) -> RegressorModel:
-    """Fit the MLP on MVN-normalized features, target [hb(21); g1]."""
+    """Fit the MLP on MVN-normalized features, target [hb(21); g1].  It trains
+    in float32, and the model it returns is float64 like a loaded one."""
     if not pairs:
         raise ModelError("no training pairs")
     cfg = cfg or MlpConfig()
@@ -51,7 +52,7 @@ def train_mlp(pairs: list[FeaturePair], cfg: MlpConfig | None = None) -> Regress
     mvn_in = mvn_fit(X)
     mvn_out = mvn_fit(Y)
     net = Mlp(NB_DIM, HB_DIM + 1, cfg)
-    net.fit(mvn_apply(mvn_in, X), mvn_apply(mvn_out, Y))
+    net.fit(mvn_apply(mvn_in, X).astype(np.float32), mvn_apply(mvn_out, Y).astype(np.float32))
     return RegressorModel(mvn_in, mvn_out, net, asdict(cfg))
 
 

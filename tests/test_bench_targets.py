@@ -1,7 +1,8 @@
 """Every function the benchmark's traced run wraps still exists under its
-name, and one operation of each CLI-driven workload runs and passes its
-output check, so renaming a benchmark layer or changing a report format or
-an exit code fails here and not only in a benchmark run."""
+name, and one operation of each workload runs and passes its output check,
+so renaming a benchmark layer, changing a report format or an exit code, or
+a model that `train_mlp` returns and `extend_file` cannot run fails here and
+not only in a benchmark run."""
 
 import sys
 from pathlib import Path
@@ -24,6 +25,14 @@ def test_benchmark_layer_resolves(target):
 @pytest.mark.parametrize("workload", [workloads.OracleSweep, workloads.TrainStream], ids=lambda w: w.name)
 def test_benchmark_cli_operation_runs(tmp_path, workload):
     w = workload(seed=1)
+    w.setup(tmp_path)
+    w.run_op(0)
+    w.check_op(0)
+
+
+def test_benchmark_regressor_extend_operation_runs(tmp_path):
+    # set-up trains the MLP in process; the operation extends with that model
+    w = workloads.RegressorExtend(seed=1)
     w.setup(tmp_path)
     w.run_op(0)
     w.check_op(0)

@@ -370,6 +370,16 @@ def test_train_gmm_model_error_is_usage_error(six_pair_manifest, tmp_path, capsy
     assert not model.exists()
 
 
+@pytest.mark.parametrize("rate", ["1e200", "1e10"])
+def test_diverged_training_is_numerical_failure(six_pair_manifest, tmp_path, capsys, rate):
+    # the parent wrote a model of NaNs here and exited 0
+    model = tmp_path / "m.json"
+    argv = ["train", str(six_pair_manifest), str(model), "--batch-size", "2", "--epochs", "3"]
+    assert main([*argv, "--learning-rate", rate]) == EXIT_NUMERIC
+    assert "training failed numerically" in capsys.readouterr().err
+    assert not model.exists() and not (tmp_path / "m.json.log").exists()
+
+
 @pytest.mark.parametrize("g1", [400.0, float("nan")], ids=["overflow", "nan"])
 def test_gain_out_of_range_is_numerical_failure(six_pair_manifest, tmp_path, capsys, g1):
     model = tmp_path / "g.json"
@@ -534,6 +544,19 @@ _SETTING_VALUES = {
 }
 _POSITIONAL = {"synth-corpus": ["out"], "train": ["m.tsv", "m.json"],
                "extend": ["nb.wav", "out.wav"], "evaluate": ["m.tsv", "out"]}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, command", [("mode", "extend"), ("filter_form", "extend"),
+                                          ("addition", "evaluate")])
+def test_unknown_choice_is_refused_alike_from_flag_and_config(tmp_path, capsys, source, key, command):
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "sdabe.ini"
+    cfg.write_text(f"[sdabe]\n{key} = bogus\n")
+    before, after = (["--config", str(cfg)], []) if source == "config" else ([], [flag, "bogus"])
+    positional = [str(tmp_path / name) for name in _POSITIONAL[command]]
+    assert main([*before, command, *positional, *after]) == EXIT_USAGE
+    assert f"argument {flag}: 'bogus' is not one of" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", list(_SETTING_VALUES))

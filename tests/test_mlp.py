@@ -1,6 +1,7 @@
 """Feed-forward network: gradients, convergence, determinism."""
 
 import numpy as np
+import pytest
 
 from sdabe.mlp import Mlp, MlpConfig
 
@@ -125,3 +126,31 @@ def test_training_reproduces_recorded_values():
         "0x1.6dc2eac95b013p-2", "0x1.4afdf60eac6ebp-2", "0x1.1e332c31d7e29p-2",
     ]
     assert float(sum(np.sum(w) for w in net.W)).hex() == "0x1.805342bc5b6cep+4"
+
+
+def test_float32_fit_leaves_a_float64_net():
+    # training runs in the data's precision; the net it leaves is float64
+    # and holds exactly the float32 values it trained
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((40, 5))
+    Y = np.tanh(X @ rng.standard_normal((5, 3)))
+    cfg = MlpConfig(hidden_layers=2, hidden_units=16, epochs=6, batch_size=16, seed=4)
+    net32 = Mlp(5, 3, cfg).fit(X.astype(np.float32), Y.astype(np.float32))
+    for key in Mlp.TENSORS:
+        for t in getattr(net32, key):
+            assert t.dtype == np.float64
+            assert np.array_equal(t, t.astype(np.float32)), key
+    net64 = Mlp(5, 3, cfg).fit(X, Y)
+    np.testing.assert_allclose(net32.loss_history, net64.loss_history, rtol=1e-4)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_diverging_fit_raises(dtype):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((6, 4)).astype(dtype)
+    Y = rng.standard_normal((6, 2)).astype(dtype)
+    net = Mlp(4, 2, _small_cfg(epochs=3, batch_size=2, learning_rate=1e200))
+    with pytest.raises(FloatingPointError):
+        net.fit(X, Y)
+    assert not net.trained
+    assert all(t.dtype == np.float64 for key in Mlp.TENSORS for t in getattr(net, key))

@@ -69,6 +69,25 @@ def test_mlp_round_trip_is_exact(tmp_path):
     assert g1 == g2
 
 
+def test_trained_mlp_predicts_alike_in_process_and_from_its_file(tmp_path):
+    # the net trains in float32 and is kept in float64: the in-process model
+    # and the loaded one run the same float64 forward pass on the same numbers
+    model = train_mlp(_fake_pairs(), _tiny_cfg())
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 2
+    assert all(set(t) == {"shape", "f8le"} for key in model.net.TENSORS for t in doc["mlp"][key])
+    back = load_model(path)
+    for key in model.net.TENSORS:
+        for t, u in zip(getattr(model.net, key), getattr(back.net, key)):
+            assert t.dtype == u.dtype == np.float64
+            assert np.array_equal(t, u)
+    X = np.random.default_rng(2).standard_normal((9, NB_DIM))
+    for out, back_out in zip(predict_hb(model, X), predict_hb(back, X)):
+        assert np.array_equal(out, back_out)
+
+
 def test_gmm_round_trip_is_exact(tmp_path):
     model = train_gmm(_fake_pairs(), components=3, seed=0)
     path = tmp_path / "model.json"
